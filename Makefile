@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build test race benchsmoke bench campaign-bench allocguard benchguard parallel-smoke parallel effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint trace-demo
+.PHONY: tier1 vet build test race benchsmoke bench campaign-bench allocguard benchguard parallel-smoke parallel effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint fuzz-scheduler trace-demo
 
 ## tier1: the full pre-PR gate — vet, build, race-enabled tests, a
 ## one-shot figure-campaign smoke bench, the alloc-budget guards, the
@@ -167,6 +167,13 @@ fuzz-validate:
 ## uninterrupted run's Results exactly.
 fuzz-checkpoint:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointQuiesce -fuzztime 20s ./internal/sim
+
+## fuzz-scheduler: fuzz the memory channel scheduler over randomized
+## request streams (DRAM, NVM, one-channel part) — the bank-head pick must
+## always choose the same request and start cycle as the linear reference
+## scan, with the queue bookkeeping consistent after every step.
+fuzz-scheduler:
+	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 20s ./internal/memsim
 
 ## trace-demo: produce a sample Perfetto trace + epoch timeline from a
 ## quick run (open trace-demo.json at https://ui.perfetto.dev).

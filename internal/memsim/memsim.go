@@ -19,6 +19,7 @@ package memsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
@@ -118,12 +119,20 @@ const (
 type request struct {
 	addr    mem.Addr
 	write   bool
+	cls     uint8 // scheduling class list the request sits on (clsDemand...)
+	bank    int32 // decoded once at enqueue, with row
+	row     int64
 	prio    Priority
 	arrival uint64
+	seq     uint64 // channel enqueue order, the tie-break after arrival
 	bypass  int
 	done    func()
 	fireFn  func()
-	next    *request
+
+	// prev/next link the channel-wide arrival-order queue (next doubles as
+	// the free-list link); bprev/bnext link the bank's class list.
+	prev, next   *request
+	bprev, bnext *request
 
 	// Cycle accounting (nil/zero when the request carries no blame vector):
 	// swapBusyAt snapshots the channel's cumulative swap-bus occupancy at
@@ -135,6 +144,105 @@ type request struct {
 	swapShare  uint64
 }
 
+// older reports whether r precedes o in arrival order.
+func (r *request) older(o *request) bool {
+	return r.arrival < o.arrival || (r.arrival == o.arrival && r.seq < o.seq)
+}
+
+// Effective scheduling classes, best first: demand beats aged background
+// beats fresh background (the classless slot inverts the order). Each
+// queued request sits on exactly one of its bank's class lists.
+const (
+	clsDemand = iota // PrioDemand, or a promoted swap request
+	clsAged          // PrioSwap waiting longer than SwapAgeLimit
+	clsFresh         // PrioSwap within SwapAgeLimit
+	numCls
+)
+
+// staleRow marks a class list's row-hit cache as unset: it never equals an
+// open row (-1 when closed, else >= 0).
+const staleRow = -2
+
+// rlist is an intrusive list of one bank's requests of one class, in
+// arrival order, with a cached oldest row hit: when hitRow != staleRow, hit
+// is the oldest request on the list whose row is hitRow (nil if none). The
+// cache serves the scheduler while hitRow equals the bank's open row.
+type rlist struct {
+	head, tail *request
+	hit        *request
+	hitRow     int64
+}
+
+// firstHit returns the first request from r onward whose row is row.
+func firstHit(r *request, row int64) *request {
+	for ; r != nil && r.row != row; r = r.bnext {
+	}
+	return r
+}
+
+// pushBack appends r, which is no older than anything on the list.
+func (l *rlist) pushBack(r *request) {
+	r.bprev, r.bnext = l.tail, nil
+	if l.tail != nil {
+		l.tail.bnext = r
+	} else {
+		l.head = r
+	}
+	l.tail = r
+	if l.hit == nil && r.row == l.hitRow {
+		l.hit = r
+	}
+}
+
+// insert links r at its arrival-order position.
+func (l *rlist) insert(r *request) {
+	at := l.tail
+	for at != nil && r.older(at) {
+		at = at.bprev
+	}
+	r.bprev = at
+	if at != nil {
+		r.bnext, at.bnext = at.bnext, r
+	} else {
+		r.bnext, l.head = l.head, r
+	}
+	if r.bnext != nil {
+		r.bnext.bprev = r
+	} else {
+		l.tail = r
+	}
+	if r.row == l.hitRow && (l.hit == nil || r.older(l.hit)) {
+		l.hit = r
+	}
+}
+
+// unlink removes r. Everything before the cached hit is a non-hit, so a
+// removed hit's successor is found by scanning on from r.
+func (l *rlist) unlink(r *request) {
+	if l.hit == r {
+		l.hit = firstHit(r.bnext, r.row)
+	}
+	if r.bprev != nil {
+		r.bprev.bnext = r.bnext
+	} else {
+		l.head = r.bnext
+	}
+	if r.bnext != nil {
+		r.bnext.bprev = r.bprev
+	} else {
+		l.tail = r.bprev
+	}
+	r.bprev, r.bnext = nil, nil
+}
+
+// hitFor returns the oldest request on the list whose row is open.
+func (l *rlist) hitFor(open int64) *request {
+	if l.hitRow != open {
+		l.hit, l.hitRow = firstHit(l.head, open), open
+	}
+	return l.hit
+}
+
 type bank struct {
 	openRow      int64 // -1 when closed
 	nextReady    uint64
@@ -142,12 +250,20 @@ type bank struct {
 	rowHits      uint64
 	rowMisses    uint64
 	rowConflicts uint64
+	// lists holds the bank's queued requests by class (derived state:
+	// empty at every quiesce point, never checkpointed).
+	lists [numCls]rlist
 }
 
 type channel struct {
 	banks   []bank
 	busFree uint64
-	queue   []*request
+	// head/tail is the channel queue in arrival order; head is the oldest
+	// request, the one MaxBypass protects.
+	head, tail *request
+	queued     int
+	count      [numCls]int // queued requests per class
+	seq        uint64      // next enqueue sequence number
 	// wakeAt is the cycle of the earliest pending scheduler wakeup
 	// (0 = none).
 	wakeAt uint64
@@ -206,7 +322,20 @@ type Module struct {
 	tCAS, tRCD, tRAS, tRP, tWR, burst uint64
 	linesPerRow                       uint64
 	banksPerChannel                   int
+
+	// Shift/mask address decode, used when channels, lines per row and
+	// banks per channel are all powers of two (pow2).
+	pow2                     bool
+	chMask, bankMask         uint64
+	rowLocalShift, bankShift uint
+
+	// pickFn, when set (tests only), replaces pick: the oracle test checks
+	// pick against a linear reference, and the deep-queue benchmark times
+	// that reference.
+	pickFn func(c *channel, now uint64) (*request, uint64)
 }
+
+func isPow2(x uint64) bool { return x != 0 && x&(x-1) == 0 }
 
 // New creates a module covering physical range [base, base+size).
 func New(lane *engine.Lane, cfg Config, base mem.Addr, size uint64) *Module {
@@ -230,12 +359,22 @@ func New(lane *engine.Lane, cfg Config, base mem.Addr, size uint64) *Module {
 		linesPerRow:     cfg.RowBytes / mem.LineSize,
 		banksPerChannel: cfg.BanksPerRank * cfg.RanksPerChannel,
 	}
+	if chans, banks := uint64(cfg.Channels), uint64(m.banksPerChannel); isPow2(chans) && isPow2(m.linesPerRow) && isPow2(banks) {
+		m.pow2 = true
+		m.chMask, m.bankMask = chans-1, banks-1
+		m.rowLocalShift = uint(bits.TrailingZeros64(chans) + bits.TrailingZeros64(m.linesPerRow))
+		m.bankShift = uint(bits.TrailingZeros64(banks))
+	}
 	m.chans = make([]channel, cfg.Channels)
 	for i := range m.chans {
 		ch := i
 		m.chans[i].banks = make([]bank, m.banksPerChannel)
 		for b := range m.chans[i].banks {
-			m.chans[i].banks[b].openRow = -1
+			bk := &m.chans[i].banks[b]
+			bk.openRow = -1
+			for k := range bk.lists {
+				bk.lists[k].hitRow = staleRow
+			}
 		}
 		m.chans[i].wakeFn = func() {
 			m.chans[ch].wakeAt = 0
@@ -261,6 +400,7 @@ func (m *Module) getReq() *request {
 func (m *Module) putReq(r *request) {
 	m.liveReq--
 	r.addr, r.write, r.prio, r.arrival, r.bypass, r.done = 0, false, 0, 0, 0, nil
+	r.cls, r.bank, r.row, r.seq = 0, 0, 0, 0
 	r.v, r.swapBusyAt, r.queueWait, r.swapShare = nil, 0, 0, 0
 	r.next = m.freeReq
 	m.freeReq = r
@@ -315,6 +455,16 @@ func (m *Module) locate(addr mem.Addr) (ch, bk int, row int64) {
 		panic(fmt.Sprintf("memsim(%s): address %#x outside module", m.cfg.Name, uint64(addr)))
 	}
 	line := uint64(addr-m.base) >> mem.LineShift
+	if !m.pow2 {
+		return m.locateDiv(line)
+	}
+	rowLocal := line >> m.rowLocalShift
+	return int(line & m.chMask), int(rowLocal & m.bankMask), int64(rowLocal >> m.bankShift)
+}
+
+// locateDiv is locate's decode of a module-relative line index for any
+// geometry.
+func (m *Module) locateDiv(line uint64) (ch, bk int, row int64) {
 	ch = int(line % uint64(m.cfg.Channels))
 	rest := line / uint64(m.cfg.Channels)
 	rowLocal := rest / m.linesPerRow
@@ -332,14 +482,14 @@ func (m *Module) BusBusy() uint64 { return m.stats.BusBusy }
 func (m *Module) Channels() int { return m.cfg.Channels }
 
 // QueueLen returns the number of requests waiting on channel ch.
-func (m *Module) QueueLen(ch int) int { return len(m.chans[ch].queue) }
+func (m *Module) QueueLen(ch int) int { return m.chans[ch].queued }
 
 // QueueOccupancy returns the total queued requests across channels — the
 // timeline sampler's congestion probe (cheap, no allocation).
 func (m *Module) QueueOccupancy() int {
 	var n int
 	for i := range m.chans {
-		n += len(m.chans[i].queue)
+		n += m.chans[i].queued
 	}
 	return n
 }
@@ -350,7 +500,7 @@ func (m *Module) QueueOccupancy() int {
 func (m *Module) Backlog() (queued int, busAhead uint64) {
 	now := m.lane.Now()
 	for i := range m.chans {
-		queued += len(m.chans[i].queue)
+		queued += m.chans[i].queued
 		if m.chans[i].busFree > now && m.chans[i].busFree-now > busAhead {
 			busAhead = m.chans[i].busFree - now
 		}
@@ -359,10 +509,23 @@ func (m *Module) Backlog() (queued int, busAhead uint64) {
 }
 
 // Audit reports end-of-run invariant violations: a quiesced module has empty
-// channel queues and every pooled request record back on its free list.
+// channel queues and per-bank class lists, and every pooled request record
+// back on its free list.
 func (m *Module) Audit(a *check.Audit) {
 	a.Checkf(m.QueueOccupancy() == 0,
 		"memsim %s: %d request(s) still queued at quiescence", m.cfg.Name, m.QueueOccupancy())
+	for i := range m.chans {
+		c := &m.chans[i]
+		a.Checkf(c.head == nil && c.tail == nil,
+			"memsim %s: channel %d queue not empty at quiescence", m.cfg.Name, i)
+		for b := range c.banks {
+			for k := range c.banks[b].lists {
+				l := &c.banks[b].lists[k]
+				a.Checkf(l.head == nil && l.tail == nil,
+					"memsim %s: channel %d bank %d class %d list not empty at quiescence", m.cfg.Name, i, b, k)
+			}
+		}
+	}
 	a.Checkf(m.liveReq == 0,
 		"memsim %s: %d pooled request record(s) never completed", m.cfg.Name, m.liveReq)
 }
@@ -376,17 +539,19 @@ func (m *Module) Access(addr mem.Addr, write bool, prio Priority, done func()) {
 // stamps the queue-wait / swap-interference / service split onto v. A nil
 // v is exactly Access.
 func (m *Module) AccessV(addr mem.Addr, write bool, prio Priority, v *attrib.Vector, done func()) {
-	ch, _, _ := m.locate(mem.LineOf(addr))
+	line := mem.LineOf(addr)
+	ch, bk, row := m.locate(line)
 	c := &m.chans[ch]
 	r := m.getReq()
-	r.addr = mem.LineOf(addr)
+	r.addr = line
 	r.write = write
 	r.prio = prio
+	r.bank, r.row = int32(bk), row
 	r.arrival = m.lane.Now()
 	r.done = done
 	r.v = v
 	r.swapBusyAt = c.swapBusy
-	c.queue = append(c.queue, r)
+	m.enqueue(c, r)
 	if write {
 		m.stats.Writes++
 	} else {
@@ -395,50 +560,105 @@ func (m *Module) AccessV(addr mem.Addr, write bool, prio Priority, v *attrib.Vec
 	m.trySchedule(ch)
 }
 
-// feasible returns the earliest cycle the request's data burst could start,
-// given its bank's state and the shared data bus, without mutating anything.
-// Command latencies overlap with bus occupancy (commands pipeline on the
-// command bus), so back-to-back row hits stream at full bus rate: their
-// tCAS only shows when the bus is otherwise idle.
-func (m *Module) feasible(c *channel, r *request, now uint64) uint64 {
-	_, bkIdx, row := m.locate(r.addr)
-	bk := &c.banks[bkIdx]
-	var path uint64
-	switch {
-	case bk.openRow == row:
-		path = now + m.tCAS
-	case bk.openRow == -1:
-		path = now + m.tRCD + m.tCAS
-	default:
+// enqueue appends a decoded request to the channel queue and to its bank's
+// class list. A swap request starts fresh; pick ages it.
+func (m *Module) enqueue(c *channel, r *request) {
+	r.seq = c.seq
+	c.seq++
+	r.prev = c.tail
+	if c.tail != nil {
+		c.tail.next = r
+	} else {
+		c.head = r
+	}
+	c.tail = r
+	c.queued++
+	r.cls = clsDemand
+	if r.prio == PrioSwap {
+		r.cls = clsFresh
+	}
+	c.count[r.cls]++
+	c.banks[r.bank].lists[r.cls].pushBack(r)
+}
+
+// dequeue removes a committed request from the channel queue and its list.
+func (m *Module) dequeue(c *channel, r *request) {
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		c.head = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		c.tail = r.prev
+	}
+	r.prev, r.next = nil, nil
+	c.queued--
+	c.count[r.cls]--
+	c.banks[r.bank].lists[r.cls].unlink(r)
+}
+
+// starts returns the earliest cycle a data burst from bank bk could start,
+// for a row hit and for any other request (a closed-bank activate or a
+// row conflict), given the bank's state and the shared data bus, without
+// mutating anything. Every queued request of the bank starts at one of the
+// two, and miss >= hit. Command latencies overlap with bus occupancy
+// (commands pipeline on the command bus), so back-to-back row hits stream
+// at full bus rate: their tCAS only shows when the bus is otherwise idle.
+func (m *Module) starts(c *channel, bk *bank, now uint64) (hit, miss uint64) {
+	hit = now + m.tCAS
+	if bk.openRow == -1 {
+		miss = now + m.tRCD + m.tCAS
+	} else {
 		pre := now
 		if bk.earliestPre > pre {
 			pre = bk.earliestPre
 		}
-		path = pre + m.tRP + m.tRCD + m.tCAS
+		miss = pre + m.tRP + m.tRCD + m.tCAS
 	}
-	if bk.nextReady > path {
-		path = bk.nextReady
+	floor := bk.nextReady
+	if c.busFree > floor {
+		floor = c.busFree
 	}
-	if c.busFree > path {
-		path = c.busFree
+	return max(hit, floor), max(miss, floor)
+}
+
+// age moves swap requests that have waited longer than SwapAgeLimit from
+// their bank's fresh list to its aged list. Requests age in arrival order,
+// so each bank's aged list stays a prefix of its swap traffic.
+func (m *Module) age(c *channel, now uint64) {
+	limit := m.cfg.SwapAgeLimit
+	if limit == 0 || c.count[clsFresh] == 0 {
+		return
 	}
-	return path
+	for b := range c.banks {
+		bk := &c.banks[b]
+		fresh := &bk.lists[clsFresh]
+		for r := fresh.head; r != nil && now-r.arrival > limit; r = fresh.head {
+			fresh.unlink(r)
+			r.cls = clsAged
+			bk.lists[clsAged].pushBack(r)
+			c.count[clsFresh]--
+			c.count[clsAged]++
+		}
+	}
 }
 
 // pick chooses the next request: best priority class first; within a class,
 // the earliest feasible data-bus slot (which favours ready banks and row
 // hits, the essence of FR-FCFS without head-of-line blocking); ties go to
 // the oldest. A starving oldest request (bypassed more than MaxBypass
-// times) becomes mandatory.
-func (m *Module) pick(c *channel, now uint64) (idx int, start uint64) {
-	classless := m.cfg.ClasslessEvery != 0 && c.commits%m.cfg.ClasslessEvery == m.cfg.ClasslessEvery-1
-	oldest := -1
-	for i, r := range c.queue {
-		if oldest == -1 || r.arrival < c.queue[oldest].arrival {
-			oldest = i
-		}
-	}
-	if c.queue[oldest].bypass >= m.cfg.MaxBypass {
+// times) becomes mandatory. pick mutates no scheduling state; trySchedule
+// charges the bypass.
+//
+// Only per-bank candidates are evaluated: within one bank and class, every
+// row hit starts at one cycle and every other request at a later-or-equal
+// one, so the winner is the class list's head or its oldest row hit. The
+// cost is O(banks), not O(queue).
+func (m *Module) pick(c *channel, now uint64) (*request, uint64) {
+	oldest := c.head
+	if oldest.bypass >= m.cfg.MaxBypass {
 		// Force the starving oldest request — unless its bank is genuinely
 		// unready (write recovery / precharge constraints push its start
 		// beyond even a worst-case row conflict on an idle bank); idling
@@ -448,41 +668,55 @@ func (m *Module) pick(c *channel, now uint64) (idx int, start uint64) {
 		if c.busFree > now {
 			bound += c.busFree - now
 		}
-		if s := m.feasible(c, c.queue[oldest], now); s <= bound {
+		bk := &c.banks[oldest.bank]
+		hit, miss := m.starts(c, bk, now)
+		s := miss
+		if oldest.row == bk.openRow {
+			s = hit
+		}
+		if s <= bound {
 			return oldest, s
 		}
 	}
-	best := -1
-	var bestStart uint64
-	var bestPrio int
-	for i, r := range c.queue {
-		s := m.feasible(c, r, now)
-		// Three effective classes: demand (0) beats aged background (1)
-		// beats fresh background (2). Aging bounds a migration line's wait
-		// without letting stale swap bursts block fresh demand outright,
-		// and the periodic classless slot guarantees background traffic a
-		// bounded share of the bus under continuous demand.
-		prio := 0
-		if r.prio == PrioSwap {
-			prio = 2
-			if m.cfg.SwapAgeLimit != 0 && now-r.arrival > m.cfg.SwapAgeLimit {
-				prio = 1
-			}
+	m.age(c, now)
+	// Three effective classes: demand beats aged background beats fresh
+	// background. Aging bounds a migration line's wait without letting
+	// stale swap bursts block fresh demand outright, and the periodic
+	// classless slot (which inverts the class order) guarantees queued
+	// background traffic a bounded share of the bus even under continuous
+	// row-hitting demand.
+	cls := clsDemand
+	if m.cfg.ClasslessEvery != 0 && c.commits%m.cfg.ClasslessEvery == m.cfg.ClasslessEvery-1 {
+		cls = clsFresh
+		for c.count[cls] == 0 {
+			cls--
 		}
-		if classless {
-			// Reserved slot: the class order inverts, so queued background
-			// traffic is guaranteed this commit even under continuous
-			// row-hitting demand.
-			prio = -prio
-		}
-		if best == -1 || prio < bestPrio ||
-			(prio == bestPrio && (s < bestStart ||
-				(s == bestStart && r.arrival < c.queue[best].arrival))) {
-			best, bestStart, bestPrio = i, s, prio
+	} else {
+		for c.count[cls] == 0 {
+			cls++
 		}
 	}
-	if best != oldest {
-		c.queue[oldest].bypass++
+	var best *request
+	var bestStart uint64
+	for b := range c.banks {
+		bk := &c.banks[b]
+		l := &bk.lists[cls]
+		h := l.head
+		if h == nil {
+			continue
+		}
+		hit, miss := m.starts(c, bk, now)
+		s := miss
+		if h.row == bk.openRow {
+			s = hit
+		}
+		if best == nil || s < bestStart || (s == bestStart && h.older(best)) {
+			best, bestStart = h, s
+		}
+		if hr := l.hitFor(bk.openRow); hr != nil && hr != h &&
+			(hit < bestStart || (hit == bestStart && hr.older(best))) {
+			best, bestStart = hr, hit
+		}
 	}
 	return best, bestStart
 }
@@ -494,7 +728,7 @@ func (m *Module) pick(c *channel, now uint64) (idx int, start uint64) {
 // one-commitment-ahead rule keeps the scheduler adaptive to new arrivals.
 func (m *Module) trySchedule(ch int) {
 	c := &m.chans[ch]
-	if len(c.queue) == 0 {
+	if c.queued == 0 {
 		return
 	}
 	now := m.lane.Now()
@@ -504,15 +738,20 @@ func (m *Module) trySchedule(ch int) {
 		m.armWake(c, ch, c.busFree-m.tCAS)
 		return
 	}
-	i, start := m.pick(c, now)
-	r := c.queue[i]
-	n := len(c.queue)
-	copy(c.queue[i:], c.queue[i+1:])
-	c.queue[n-1] = nil // release the duplicated tail pointer
-	c.queue = c.queue[:n-1]
+	var r *request
+	var start uint64
+	if m.pickFn != nil {
+		r, start = m.pickFn(c, now)
+	} else {
+		r, start = m.pick(c, now)
+	}
+	if r != c.head {
+		c.head.bypass++
+	}
+	m.dequeue(c, r)
 	c.commits++
 	m.issue(ch, r, start)
-	if len(c.queue) > 0 {
+	if c.queued > 0 {
 		m.armWake(c, ch, c.busFree)
 	}
 }
@@ -528,8 +767,8 @@ func (m *Module) armWake(c *channel, ch int, at uint64) {
 // issue commits one request at its data-burst start time.
 func (m *Module) issue(ch int, r *request, dataStart uint64) {
 	c := &m.chans[ch]
-	_, bkIdx, row := m.locate(r.addr)
-	bk := &c.banks[bkIdx]
+	bk := &c.banks[r.bank]
+	row := r.row
 
 	var cmdLat uint64
 	switch {
@@ -554,8 +793,8 @@ func (m *Module) issue(ch int, r *request, dataStart uint64) {
 		// Blame split: the command path (row state at issue) plus the data
 		// burst is device service; everything else the request waited is
 		// queueing, of which up to the concurrent growth in swap-bus
-		// occupancy is swap-transfer interference. feasible() starts from
-		// the same bank state, so service never exceeds the measured wait.
+		// occupancy is swap-transfer interference. starts() works from the
+		// same bank state, so service never exceeds the measured wait.
 		r.queueWait = (dataEnd - r.arrival) - (cmdLat + m.burst)
 		if r.swapShare = c.swapBusy - r.swapBusyAt; r.swapShare > r.queueWait {
 			r.swapShare = r.queueWait
@@ -584,14 +823,25 @@ func (m *Module) issue(ch int, r *request, dataStart uint64) {
 
 // Promote raises a queued request for the given line to demand priority —
 // the controller calls this when a processor request is waiting on a swap
-// read (requested-line-first, Section III-D1).
+// read (requested-line-first, Section III-D1). The request keeps its
+// arrival-order place among the bank's demand requests.
 func (m *Module) Promote(addr mem.Addr) {
 	line := mem.LineOf(addr)
-	ch, _, _ := m.locate(line)
+	ch, b, _ := m.locate(line)
 	c := &m.chans[ch]
-	for _, r := range c.queue {
-		if r.addr == line {
-			r.prio = PrioDemand
+	bk := &c.banks[b]
+	for _, k := range [...]int{clsAged, clsFresh} {
+		l := &bk.lists[k]
+		for r := l.head; r != nil; {
+			next := r.bnext
+			if r.addr == line {
+				l.unlink(r)
+				r.prio, r.cls = PrioDemand, clsDemand
+				bk.lists[clsDemand].insert(r)
+				c.count[k]--
+				c.count[clsDemand]++
+			}
+			r = next
 		}
 	}
 }

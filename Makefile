@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build test race benchsmoke bench campaign-bench allocguard benchguard parallel-smoke parallel effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint fuzz-scheduler trace-demo
+.PHONY: tier1 vet build test race benchsmoke bench campaign-bench allocguard benchguard parallel-smoke parallel effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint fuzz-scheduler fuzz-correlator trace-demo
 
 ## tier1: the full pre-PR gate — vet, build, race-enabled tests, a
 ## one-shot figure-campaign smoke bench, the alloc-budget guards, the
@@ -174,6 +174,13 @@ fuzz-checkpoint:
 ## scan, with the queue bookkeeping consistent after every step.
 fuzz-scheduler:
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 20s ./internal/memsim
+
+## fuzz-correlator: fuzz the PageSeer Filter over randomized miss streams
+## (Filter sizes 4-16, 1-4 pids, debounce 1 and 2, NoCorr on and off) — the
+## LRU list must always evict the entry the original full scan picks, with
+## the list consistent after every miss.
+fuzz-correlator:
+	$(GO) test -run '^$$' -fuzz FuzzCorrelator -fuzztime 20s ./internal/core
 
 ## trace-demo: produce a sample Perfetto trace + epoch timeline from a
 ## quick run (open trace-demo.json at https://ui.perfetto.dev).

@@ -205,9 +205,11 @@ func New(sim *engine.Lane, cfg Config, next Backend) *Cache {
 		setBits: uint(bits.TrailingZeros64(uint64(nSets))),
 		mshrs:   make(map[mem.Addr]*mshr),
 	}
+	// One contiguous backing array: set i is ways [i*Ways, (i+1)*Ways).
+	all := make([]line, nSets*cfg.Ways)
 	c.sets = make([][]line, nSets)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = all[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return c
 }
@@ -423,31 +425,45 @@ func (c *Cache) AccessFunctional(addr mem.Addr, write bool, meta Meta) {
 		panic(fmt.Sprintf("cache %s: PTE request reached a level that does not cache PTEs", c.cfg.Name))
 	}
 	set, tag := c.index(l)
-	ln := c.mru
-	if ln == nil || c.mruSet != set || !ln.valid || ln.tag != tag {
-		ln = nil
-		for i := range c.sets[set] {
-			w := &c.sets[set][i]
-			if w.valid && w.tag == tag {
-				ln = w
-				break
-			}
-		}
-	}
-	if ln != nil {
-		c.mru, c.mruSet = ln, set
-		c.lruTick++
-		ln.lru = c.lruTick
-		if write {
-			ln.dirty = true
-		}
+	if ln := c.mru; ln != nil && c.mruSet == set && ln.valid && ln.tag == tag {
+		c.hitFunctional(ln, write)
 		return
+	}
+	// One pass finds the line or, failing that, install's victim: the first
+	// invalid way, else the least recently used (earliest way on ties).
+	ways := c.sets[set]
+	victim := &ways[0]
+	invalid := false
+	for i := range ways {
+		w := &ways[i]
+		if !w.valid {
+			if !invalid {
+				victim, invalid = w, true
+			}
+			continue
+		}
+		if w.tag == tag {
+			c.mru, c.mruSet = w, set
+			c.hitFunctional(w, write)
+			return
+		}
+		if !invalid && w.lru < victim.lru {
+			victim = w
+		}
 	}
 	fetchMeta := meta
 	fetchMeta.Writeback = false
 	fetchMeta.V = nil
 	c.functionalNext().AccessFunctional(l, false, fetchMeta)
-	c.installFunctional(l, write, meta)
+	c.fillFunctional(victim, set, tag, write, meta)
+}
+
+func (c *Cache) hitFunctional(ln *line, write bool) {
+	c.lruTick++
+	ln.lru = c.lruTick
+	if write {
+		ln.dirty = true
+	}
 }
 
 // functionalNext asserts the backend's functional interface, caching the
@@ -463,22 +479,12 @@ func (c *Cache) functionalNext() FunctionalBackend {
 	return c.nextFunc
 }
 
-// installFunctional mirrors install minus statistics and event scheduling:
-// the same victim choice, with dirty victims written back functionally so
-// lower-level dirty state matches what a detailed run would have produced.
-func (c *Cache) installFunctional(l mem.Addr, dirty bool, meta Meta) {
-	set, tag := c.index(l)
-	victim := &c.sets[set][0]
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
-			victim = ln
-			break
-		}
-		if ln.lru < victim.lru {
-			victim = ln
-		}
-	}
+// fillFunctional mirrors install minus statistics and event scheduling,
+// into the victim AccessFunctional chose by install's rule, with a dirty
+// victim written back functionally so lower-level dirty state matches what
+// a detailed run would have produced. The levels below never touch this
+// cache's sets, so the victim chosen before the fetch is still install's.
+func (c *Cache) fillFunctional(victim *line, set, tag uint64, dirty bool, meta Meta) {
 	if victim.valid && victim.dirty {
 		victimAddr := mem.Addr((victim.tag*c.nSets + set) << mem.LineShift)
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pageseer/internal/ckpt"
@@ -103,29 +104,42 @@ func (c *Correlator) snapshotState(w *ckpt.Writer) {
 		}
 		w.U64(fe.lru)
 	}
-	pids := sortedInts(c.active)
-	w.Int(len(pids))
-	for _, pid := range pids {
-		w.Int(pid)
-		w.U64(uint64(c.active[pid]))
+	// The four per-pid tables, each as (pid, value) pairs over the pids
+	// that hold a key in it, ascending.
+	c.writePids(w, func(st *pidState) bool { return st.inLeader }, func(st *pidState) { w.U64(uint64(st.leader)) })
+	c.writePids(w, func(st *pidState) bool { return st.inHasLead }, func(st *pidState) { w.Bool(st.hasLead) })
+	c.writePids(w, func(st *pidState) bool { return st.inCand }, func(st *pidState) { w.U64(uint64(st.cand)) })
+	c.writePids(w, func(st *pidState) bool { return st.inCandN }, func(st *pidState) { w.U32(st.candN) })
+}
+
+func (c *Correlator) writePids(w *ckpt.Writer, in func(*pidState) bool, val func(*pidState)) {
+	n := 0
+	for i := range c.pids {
+		if in(&c.pids[i]) {
+			n++
+		}
 	}
-	pids = sortedInts(c.hasLead)
-	w.Int(len(pids))
-	for _, pid := range pids {
-		w.Int(pid)
-		w.Bool(c.hasLead[pid])
+	w.Int(n)
+	for i := range c.pids {
+		if st := &c.pids[i]; in(st) {
+			w.Int(i)
+			val(st)
+		}
 	}
-	pids = sortedInts(c.cand)
-	w.Int(len(pids))
-	for _, pid := range pids {
-		w.Int(pid)
-		w.U64(uint64(c.cand[pid]))
-	}
-	pids = sortedInts(c.candN)
-	w.Int(len(pids))
-	for _, pid := range pids {
-		w.Int(pid)
-		w.U32(c.candN[pid])
+}
+
+// readPids reads one table written by writePids, calling set on each
+// listed pid's state.
+func (c *Correlator) readPids(r *ckpt.Reader, set func(*pidState)) {
+	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
+		// pids are 1..cores; the bound keeps a bad record from sizing the
+		// per-pid table.
+		pid := r.Int()
+		if pid < 0 || pid > 1<<16 {
+			r.Failf("core.corr: pid %d out of range", pid)
+			return
+		}
+		set(c.state(pid))
 	}
 }
 
@@ -142,6 +156,8 @@ func (c *Correlator) restoreState(r *ckpt.Reader) {
 		c.pct[p] = readPCTEntry(r)
 	}
 	c.filter = make(map[mem.PPN]*filterEntry)
+	c.head, c.tail, c.freeFE = nil, nil, nil
+	var entries []*filterEntry
 	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
 		p := mem.PPN(r.U64())
 		fe := &filterEntry{}
@@ -156,27 +172,18 @@ func (c *Correlator) restoreState(r *ckpt.Reader) {
 		}
 		fe.lru = r.U64()
 		c.filter[p] = fe
+		entries = append(entries, fe)
 	}
-	c.active = make(map[int]mem.PPN)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		pid := r.Int()
-		c.active[pid] = mem.PPN(r.U64())
+	// Rebuild the LRU list from the stored stamps.
+	sort.Slice(entries, func(i, j int) bool { return entries[i].lru < entries[j].lru })
+	for _, fe := range entries {
+		c.linkTail(fe)
 	}
-	c.hasLead = make(map[int]bool)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		pid := r.Int()
-		c.hasLead[pid] = r.Bool()
-	}
-	c.cand = make(map[int]mem.PPN)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		pid := r.Int()
-		c.cand[pid] = mem.PPN(r.U64())
-	}
-	c.candN = make(map[int]uint32)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		pid := r.Int()
-		c.candN[pid] = r.U32()
-	}
+	c.pids = nil
+	c.readPids(r, func(st *pidState) { st.leader, st.inLeader = mem.PPN(r.U64()), true })
+	c.readPids(r, func(st *pidState) { st.hasLead, st.inHasLead = r.Bool(), true })
+	c.readPids(r, func(st *pidState) { st.cand, st.inCand = mem.PPN(r.U64()), true })
+	c.readPids(r, func(st *pidState) { st.candN, st.inCandN = r.U32(), true })
 }
 
 func (p *PTECache) snapshotState(w *ckpt.Writer) error {
@@ -188,15 +195,12 @@ func (p *PTECache) snapshotState(w *ckpt.Writer) error {
 	w.U64(p.hits)
 	w.U64(p.pendingHits)
 	w.U64(p.misses)
-	lines := make([]mem.Addr, 0, len(p.lines))
-	for l := range p.lines {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	lines := slices.Clone(p.lines)
+	sort.Slice(lines, func(i, j int) bool { return lines[i].line < lines[j].line })
 	w.Int(len(lines))
 	for _, l := range lines {
-		w.U64(uint64(l))
-		w.U64(p.lines[l])
+		w.U64(uint64(l.line))
+		w.U64(l.stamp)
 	}
 	return nil
 }
@@ -207,10 +211,10 @@ func (p *PTECache) restoreState(r *ckpt.Reader) {
 	p.hits = r.U64()
 	p.pendingHits = r.U64()
 	p.misses = r.U64()
-	p.lines = make(map[mem.Addr]uint64)
+	p.lines = p.lines[:0]
 	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
 		l := mem.Addr(r.U64())
-		p.lines[l] = r.U64()
+		p.lines = append(p.lines, pteSlot{line: l, stamp: r.U64()})
 	}
 }
 

@@ -28,7 +28,24 @@ type filterEntry struct {
 	count  uint32   // misses observed this invocation
 	succ   [2]successor
 	lru    uint64
-	next   *filterEntry // free-list link while recycled
+	// prev/next thread the entry through the Filter's LRU list (head =
+	// oldest stamp); next doubles as the free-list link while recycled.
+	prev, next *filterEntry
+}
+
+// pidState is one process's leadership and debounce state. The presence
+// flags record which of the per-pid tables held a key for this pid, so the
+// checkpoint writes exactly the key sets the Filter has populated.
+type pidState struct {
+	leader  mem.PPN // current leader (valid while hasLead)
+	hasLead bool
+	// cand/candN debounce leadership changes (cfg.LeaderDebounce): a page
+	// must miss that many times, without the current leader reasserting
+	// itself in between, before it takes over the invocation.
+	cand  mem.PPN
+	candN uint32
+
+	inLeader, inHasLead, inCand, inCandN bool
 }
 
 // CorrelatorStats counts correlation activity.
@@ -45,18 +62,15 @@ type CorrelatorStats struct {
 // tracks the currently-flurrying pages and folds fresh counts back into the
 // PCT with history halving: new = current + old/2.
 type Correlator struct {
-	cfg     Config
-	pct     map[mem.PPN]PCTEntry
-	filter  map[mem.PPN]*filterEntry
-	active  map[int]mem.PPN // pid -> current leader
-	hasLead map[int]bool
-	// cand/candN debounce leadership changes (cfg.LeaderDebounce): a page
-	// must miss that many times, without the current leader reasserting
-	// itself in between, before it takes over the invocation.
-	cand  map[int]mem.PPN
-	candN map[int]uint32
-	tick  uint64
-	stats CorrelatorStats
+	cfg    Config
+	pct    map[mem.PPN]PCTEntry
+	filter map[mem.PPN]*filterEntry
+	// head/tail are the oldest and newest Filter entries: touch moves an
+	// entry to the tail, so lru stamps strictly increase along the list.
+	head, tail *filterEntry
+	pids       []pidState // indexed by pid, grown on first use
+	tick       uint64
+	stats      CorrelatorStats
 	// freeFE recycles filter entries: leader changes are per-flurry events
 	// in steady state, so allocating an entry per invocation would charge
 	// the demand path's allocation budget.
@@ -75,10 +89,6 @@ func NewCorrelator(cfg Config, onWriteback func(mem.PPN, bool)) *Correlator {
 		cfg:         cfg,
 		pct:         make(map[mem.PPN]PCTEntry),
 		filter:      make(map[mem.PPN]*filterEntry),
-		active:      make(map[int]mem.PPN),
-		hasLead:     make(map[int]bool),
-		cand:        make(map[int]mem.PPN),
-		candN:       make(map[int]uint32),
 		onWriteback: onWriteback,
 	}
 }
@@ -111,38 +121,39 @@ func (c *Correlator) PCTSize() int { return len(c.pct) }
 // miss starts a new invocation of page (the "first miss" that Section
 // III-C2 uses as the prefetch-swap trigger point).
 func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
-	if c.hasLead[pid] && c.active[pid] == page {
+	st := c.state(pid)
+	if st.hasLead && st.leader == page {
 		// The leader reasserting itself dissolves any takeover candidate:
 		// stragglers from the next flurry jumbled into this one by the
 		// core's out-of-order window must not end the invocation.
-		c.candN[pid] = 0
+		st.candN, st.inCandN = 0, true
 		fe := c.filter[page]
 		if fe != nil && fe.count < c.cfg.CounterMax {
 			fe.count++
 		}
 		return false
 	}
-	if c.hasLead[pid] && c.cfg.LeaderDebounce > 1 {
-		if c.candN[pid] == 0 || c.cand[pid] != page {
-			c.cand[pid] = page
-			c.candN[pid] = 1
+	if st.hasLead && c.cfg.LeaderDebounce > 1 {
+		if st.candN == 0 || st.cand != page {
+			st.cand, st.inCand = page, true
+			st.candN, st.inCandN = 1, true
 			return false
 		}
-		c.candN[pid]++
-		if c.candN[pid] < c.cfg.LeaderDebounce {
+		st.candN++
+		if st.candN < c.cfg.LeaderDebounce {
 			return false
 		}
-		c.candN[pid] = 0
+		st.candN = 0
 	}
 
 	// Leader change: page follows the previous leader.
-	if c.hasLead[pid] {
-		if prev, ok := c.filter[c.active[pid]]; ok && prev.pid == pid {
+	if st.hasLead {
+		if prev, ok := c.filter[st.leader]; ok && prev.pid == pid {
 			c.observeSuccessor(prev, page)
 		}
 	}
-	c.active[pid] = page
-	c.hasLead[pid] = true
+	st.leader, st.inLeader = page, true
+	st.hasLead, st.inHasLead = true, true
 	c.stats.Invocations++
 
 	fe, ok := c.filter[page]
@@ -168,8 +179,26 @@ func (c *Correlator) OnMiss(pid int, page mem.PPN) (firstMiss bool) {
 		fe.succ[0] = successor{page: fe.old.Follower, valid: true}
 	}
 	c.filter[page] = fe
+	c.linkTail(fe)
 	c.touch(fe)
 	return true
+}
+
+// state returns pid's state, growing the table on first use.
+func (c *Correlator) state(pid int) *pidState {
+	if pid >= len(c.pids) {
+		c.pids = append(c.pids, make([]pidState, pid+1-len(c.pids))...)
+	}
+	return &c.pids[pid]
+}
+
+// isActiveLeader reports whether fe is its inserting pid's current leader.
+func (c *Correlator) isActiveLeader(fe *filterEntry) bool {
+	if fe.pid >= len(c.pids) {
+		return false
+	}
+	st := &c.pids[fe.pid]
+	return st.hasLead && st.leader == fe.leader
 }
 
 // observeSuccessor records that succ followed prev's flurry. Slot 0 holds
@@ -199,31 +228,58 @@ func (c *Correlator) observeSuccessor(prev *filterEntry, succ mem.PPN) {
 	*s = successor{page: succ, n: 1, valid: true}
 }
 
+// touch restamps a linked entry as the most recently used.
 func (c *Correlator) touch(fe *filterEntry) {
 	c.tick++
 	fe.lru = c.tick
+	if fe != c.tail {
+		c.unlink(fe)
+		c.linkTail(fe)
+	}
+}
+
+func (c *Correlator) linkTail(fe *filterEntry) {
+	fe.prev, fe.next = c.tail, nil
+	if c.tail != nil {
+		c.tail.next = fe
+	} else {
+		c.head = fe
+	}
+	c.tail = fe
+}
+
+func (c *Correlator) unlink(fe *filterEntry) {
+	if fe.prev != nil {
+		fe.prev.next = fe.next
+	} else {
+		c.head = fe.next
+	}
+	if fe.next != nil {
+		fe.next.prev = fe.prev
+	} else {
+		c.tail = fe.prev
+	}
+	fe.prev, fe.next = nil, nil
 }
 
 func (c *Correlator) evictLRU() {
-	var victim *filterEntry
-	for _, fe := range c.filter {
-		// Avoid evicting a currently-active leader while alternatives exist.
-		activeLeader := c.hasLead[fe.pid] && c.active[fe.pid] == fe.leader
-		if victim == nil {
-			victim = fe
-			continue
-		}
-		victimActive := c.hasLead[victim.pid] && c.active[victim.pid] == victim.leader
-		switch {
-		case victimActive && !activeLeader:
-			victim = fe
-		case victimActive == activeLeader && fe.lru < victim.lru:
-			victim = fe
-		}
-	}
-	if victim != nil {
+	if victim := c.lruVictim(); victim != nil {
 		c.writeback(victim)
 	}
+}
+
+// lruVictim returns the oldest entry that is not its pid's active leader,
+// or the oldest entry if every one is. Stamps are unique and rise along the
+// list, so this is the full scan's "oldest non-active, else oldest" victim;
+// each pid leads at most one entry, so the walk from the head takes at most
+// #pids+1 steps.
+func (c *Correlator) lruVictim() *filterEntry {
+	for fe := c.head; fe != nil; fe = fe.next {
+		if !c.isActiveLeader(fe) {
+			return fe
+		}
+	}
+	return c.head
 }
 
 // folded returns the entry produced by folding the filter state into the
@@ -283,6 +339,7 @@ func (c *Correlator) writeback(fe *filterEntry) {
 	}
 	c.pct[fe.leader] = newEntry
 	delete(c.filter, fe.leader)
+	c.unlink(fe)
 	fe.next = c.freeFE
 	c.freeFE = fe
 	c.stats.Writebacks++
@@ -309,13 +366,12 @@ func (c *Correlator) effectiveChange(old, new PCTEntry) bool {
 	return oldF && newF && old.Follower != new.Follower
 }
 
-// Flush writes every filter entry back to the PCT (end of simulation).
+// Flush writes every filter entry back to the PCT (end of simulation),
+// oldest first. The order matters: a leader's fold reads its follower's
+// live count, which differs before and after the follower's own fold.
 func (c *Correlator) Flush() {
-	for _, fe := range c.filter {
-		c.writeback(fe)
+	for c.head != nil {
+		c.writeback(c.head)
 	}
-	c.active = make(map[int]mem.PPN)
-	c.hasLead = make(map[int]bool)
-	c.cand = make(map[int]mem.PPN)
-	c.candN = make(map[int]uint32)
+	clear(c.pids)
 }

@@ -8,9 +8,11 @@ import "pageseer/internal/mem"
 // a >99% hit rate for those requests (Section V-B).
 type PTECache struct {
 	capacity int
-	lines    map[mem.Addr]uint64 // line -> lru stamp
-	pending  map[mem.Addr][]func()
-	tick     uint64
+	// lines holds the resident lines in no particular order, at most
+	// capacity of them; 16 slots probe faster than a map lookup.
+	lines   []pteSlot
+	pending map[mem.Addr][]func()
+	tick    uint64
 
 	// Fetch-completion records and waiter slices are recycled: Obtain sits
 	// on the MMU-hint path, which fires on every page walk, so per-miss
@@ -21,6 +23,13 @@ type PTECache struct {
 	hits        uint64
 	pendingHits uint64
 	misses      uint64
+}
+
+// pteSlot is one resident line and its LRU stamp (larger = more recent;
+// stamps are unique, so the minimum names one victim).
+type pteSlot struct {
+	line  mem.Addr
+	stamp uint64
 }
 
 // pteFill is one in-flight fetch's completion continuation, pre-bound to a
@@ -71,11 +80,11 @@ func (p *PTECache) getWaiters() []func() {
 	return make([]func(), 0, 4)
 }
 
-// NewPTECache builds an empty PTE-line cache.
+// NewPTECache builds an empty PTE-line cache. A capacity below one holds
+// one line: a fetched line is always installed.
 func NewPTECache(capacity int) *PTECache {
 	return &PTECache{
-		capacity: capacity,
-		lines:    make(map[mem.Addr]uint64),
+		capacity: max(capacity, 1),
 		pending:  make(map[mem.Addr][]func()),
 	}
 }
@@ -94,9 +103,16 @@ func (p *PTECache) Misses() uint64 { return p.misses }
 func (p *PTECache) Len() int { return len(p.lines) }
 
 // Contains reports residency without touching LRU.
-func (p *PTECache) Contains(line mem.Addr) bool {
-	_, ok := p.lines[mem.LineOf(line)]
-	return ok
+func (p *PTECache) Contains(line mem.Addr) bool { return p.find(mem.LineOf(line)) >= 0 }
+
+// find returns line's slot index, or -1 when it is not resident.
+func (p *PTECache) find(line mem.Addr) int {
+	for i := range p.lines {
+		if p.lines[i].line == line {
+			return i
+		}
+	}
+	return -1
 }
 
 // Pending reports whether a fetch for line is in flight.
@@ -112,9 +128,9 @@ func (p *PTECache) Pending(line mem.Addr) bool {
 // line without a new memory access.
 func (p *PTECache) Obtain(line mem.Addr, fetch func(done func()), ready func()) (servedFromCache bool) {
 	line = mem.LineOf(line)
-	if _, ok := p.lines[line]; ok {
+	if i := p.find(line); i >= 0 {
 		p.hits++
-		p.touch(line)
+		p.touch(i)
 		ready()
 		return true
 	}
@@ -130,24 +146,26 @@ func (p *PTECache) Obtain(line mem.Addr, fetch func(done func()), ready func()) 
 }
 
 func (p *PTECache) insert(line mem.Addr) {
-	if _, ok := p.lines[line]; ok {
-		p.touch(line)
+	if i := p.find(line); i >= 0 {
+		p.touch(i)
 		return
 	}
-	if len(p.lines) >= p.capacity {
-		var victim mem.Addr
-		var oldest = ^uint64(0)
-		for l, stamp := range p.lines {
-			if stamp < oldest {
-				victim, oldest = l, stamp
-			}
-		}
-		delete(p.lines, victim)
+	if len(p.lines) < p.capacity {
+		p.lines = append(p.lines, pteSlot{line: line})
+		p.touch(len(p.lines) - 1)
+		return
 	}
-	p.touch(line)
+	victim := 0
+	for i := 1; i < len(p.lines); i++ {
+		if p.lines[i].stamp < p.lines[victim].stamp {
+			victim = i
+		}
+	}
+	p.lines[victim].line = line
+	p.touch(victim)
 }
 
-func (p *PTECache) touch(line mem.Addr) {
+func (p *PTECache) touch(i int) {
 	p.tick++
-	p.lines[line] = p.tick
+	p.lines[i].stamp = p.tick
 }

@@ -446,19 +446,26 @@ func (c *MetaCache) AccessFunctional(key uint64, dirty bool) {
 	}
 }
 
+// installFunctional is install without the writeback, in one pass over the
+// set: it looks key up and meanwhile picks install's victim (the first
+// invalid way, else the least recently used, earliest way on ties).
 func (c *MetaCache) installFunctional(key uint64) {
-	if c.find(key) != nil {
-		return
-	}
 	set := c.sets[c.SetOf(key)]
 	victim := &set[0]
+	invalid := false
 	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
+		l := &set[i]
+		if !l.valid {
+			if !invalid {
+				victim, invalid = l, true
+			}
+			continue
 		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+		if l.key == key {
+			return
+		}
+		if !invalid && l.lru < victim.lru {
+			victim = l
 		}
 	}
 	c.tick++

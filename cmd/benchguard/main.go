@@ -29,10 +29,6 @@
 // includes the sampling geometry, so a mixed record like
 // BENCH_campaign.json gates detailed-vs-detailed and sampled-vs-sampled
 // separately.
-//
-// Records carry the campaign's intra-run parallelism (jrun). When baseline
-// and head widths differ the comparison still runs — it measures the epoch
-// executor's scaling then, not engine drift — and the report says so.
 package main
 
 import (
@@ -47,7 +43,6 @@ import (
 type runMetric struct {
 	Workload      string  `json:"workload"`
 	Scheme        string  `json:"scheme"`
-	Jrun          int     `json:"jrun"`
 	WallSeconds   float64 `json:"wall_seconds"`
 	EventsFired   uint64  `json:"events_fired"`
 	EventsPerSec  float64 `json:"events_per_sec"`
@@ -60,19 +55,9 @@ type campaignBench struct {
 	Generated    string      `json:"generated"`
 	Note         string      `json:"note"`
 	NumCPU       int         `json:"num_cpu"`
-	Jrun         int         `json:"jrun"`
 	Runs         []runMetric `json:"runs"`
 	TotalEvents  uint64      `json:"total_events"`
 	EventsPerSec float64     `json:"events_per_sec"`
-}
-
-// jrunOf normalises a record's intra-run parallelism: files written before
-// the -jrun flag existed carry no field and mean the serial engine.
-func jrunOf(b campaignBench) int {
-	if b.Jrun > 1 {
-		return b.Jrun
-	}
-	return 1
 }
 
 func load(path string) (campaignBench, error) {
@@ -130,66 +115,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// In -wall mode the point is cross-mode: head (e.g. a sampled campaign)
-	// is measured against the baseline's *detailed* runs, so sampled
-	// baseline entries are dropped and matching falls back to plain
-	// (workload, scheme). In the default events_per_sec mode the full key —
-	// including sampling geometry — keeps the modes strictly apart.
-	base := make(map[string]runMetric, len(baseline.Runs))
-	for _, m := range baseline.Runs {
-		if *wall {
-			if m.SampleWindows > 0 {
-				continue
-			}
-			base[m.Workload+"/"+m.Scheme] = m
-			continue
-		}
-		base[key(m)] = m
-	}
-
-	type row struct {
-		key   string
-		ratio float64
-	}
-	var rows []row
-	logSum, matched := 0.0, 0
-	for _, h := range head.Runs {
-		k := key(h)
-		lookup := k
-		if *wall {
-			lookup = h.Workload + "/" + h.Scheme
-		}
-		b, ok := base[lookup]
-		if !ok {
-			continue
-		}
-		var r float64
-		if *wall {
-			if b.WallSeconds <= 0 || h.WallSeconds <= 0 {
-				continue
-			}
-			r = b.WallSeconds / h.WallSeconds
-		} else {
-			if b.EventsPerSec <= 0 || h.EventsPerSec <= 0 {
-				continue
-			}
-			r = h.EventsPerSec / b.EventsPerSec
-		}
-		logSum += math.Log(r)
-		matched++
-		rows = append(rows, row{k, r})
-	}
+	rows, geomean := compare(baseline, head, *wall)
+	matched := len(rows)
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "benchguard: no (workload, scheme) runs in common between baseline and head")
 		os.Exit(2)
-	}
-	geomean := math.Exp(logSum / float64(matched))
-
-	// Cross-width comparisons measure the executor, not a regression: say so
-	// up front rather than letting a speedup (or barrier overhead) masquerade
-	// as engine drift.
-	if bj, hj := jrunOf(baseline), jrunOf(head); bj != hj {
-		fmt.Printf("benchguard: note — baseline ran at jrun %d, head at jrun %d; the ratio includes epoch-executor scaling, not just engine drift\n", bj, hj)
 	}
 
 	sort.Slice(rows, func(i, j int) bool { return rows[i].ratio < rows[j].ratio })
@@ -224,4 +154,64 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%s: ok\n", name)
+}
+
+// row is one matched run's ratio: head/baseline events_per_sec, or
+// baseline/head wall_seconds in -wall mode.
+type row struct {
+	key   string
+	ratio float64
+}
+
+// compare matches head's runs against baseline's and returns the per-run
+// ratios with their geometric mean (0 when nothing matched).
+func compare(baseline, head campaignBench, wall bool) ([]row, float64) {
+	// In -wall mode the point is cross-mode: head (e.g. a sampled campaign)
+	// is measured against the baseline's *detailed* runs, so sampled
+	// baseline entries are dropped and matching falls back to plain
+	// (workload, scheme). In the default events_per_sec mode the full key —
+	// including sampling geometry — keeps the modes strictly apart.
+	base := make(map[string]runMetric, len(baseline.Runs))
+	for _, m := range baseline.Runs {
+		if wall {
+			if m.SampleWindows > 0 {
+				continue
+			}
+			base[m.Workload+"/"+m.Scheme] = m
+			continue
+		}
+		base[key(m)] = m
+	}
+
+	var rows []row
+	logSum := 0.0
+	for _, h := range head.Runs {
+		k := key(h)
+		lookup := k
+		if wall {
+			lookup = h.Workload + "/" + h.Scheme
+		}
+		b, ok := base[lookup]
+		if !ok {
+			continue
+		}
+		var r float64
+		if wall {
+			if b.WallSeconds <= 0 || h.WallSeconds <= 0 {
+				continue
+			}
+			r = b.WallSeconds / h.WallSeconds
+		} else {
+			if b.EventsPerSec <= 0 || h.EventsPerSec <= 0 {
+				continue
+			}
+			r = h.EventsPerSec / b.EventsPerSec
+		}
+		logSum += math.Log(r)
+		rows = append(rows, row{k, r})
+	}
+	if len(rows) == 0 {
+		return nil, 0
+	}
+	return rows, math.Exp(logSum / float64(len(rows)))
 }

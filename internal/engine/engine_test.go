@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -190,5 +191,96 @@ func TestClockMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotPendingSpansWheelAndHeap pins the crashdump queue snapshot:
+// events straddling the wheel horizon (some in wheel buckets, some in the
+// overflow heap, with same-cycle ties split across the two) come back in
+// (cycle, seq) fire order, truncated at max, with Seq the plain insertion
+// counter ClockState reports.
+func TestSnapshotPendingSpansWheelAndHeap(t *testing.T) {
+	const H = WheelHorizon
+	s := New()
+	var fired []PendingEvent
+	at := func(cycle uint64) {
+		var seq uint64
+		s.At(cycle, func() { fired = append(fired, PendingEvent{Cycle: cycle, Seq: seq}) })
+		_, seq, _ = s.ClockState()
+	}
+	at(H + 10) // seq 1: heap (delay >= horizon from cycle 0)
+	at(5)      // seq 2: wheel, fires before the snapshot
+	at(2 * H)  // seq 3: heap
+	s.At(20, func() {
+		at(H + 10) // seq 5: wheel, ties seq 1 in the heap
+		at(30)     // seq 6: wheel
+		at(2 * H)  // seq 7: heap, ties seq 3
+		at(H + 10) // seq 8: wheel
+	}) // seq 4
+	s.RunUntil(20)
+	fired = nil
+
+	if len(s.pq) != 3 || s.wheelLen != 3 {
+		t.Fatalf("setup: %d heap / %d wheel events, want 3 / 3", len(s.pq), s.wheelLen)
+	}
+	want := []PendingEvent{{30, 6}, {H + 10, 1}, {H + 10, 5}, {H + 10, 8}, {2 * H, 3}, {2 * H, 7}}
+	got := s.SnapshotPending(100)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("SnapshotPending = %v, want %v", got, want)
+	}
+	if got := s.SnapshotPending(4); fmt.Sprint(got) != fmt.Sprint(want[:4]) {
+		t.Fatalf("SnapshotPending(4) = %v, want %v", got, want[:4])
+	}
+	if got := s.SnapshotPending(0); got != nil {
+		t.Fatalf("SnapshotPending(0) = %v, want nil", got)
+	}
+	if _, seq, _ := s.ClockState(); seq != 8 {
+		t.Fatalf("ClockState seq = %d, want 8", seq)
+	}
+	// The snapshot must not disturb the queue: the drain fires exactly the
+	// snapshotted events, in snapshot order, with the seqs At assigned.
+	s.Drain(0)
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fire order %v, want %v", fired, want)
+	}
+
+	// Randomised: interleave scheduling across the horizon with partial
+	// runs, and check every snapshot against the fire order that follows.
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 20; round++ {
+		s := New()
+		var fired []PendingEvent
+		var at func(cycle uint64)
+		at = func(cycle uint64) {
+			var seq uint64
+			s.At(cycle, func() {
+				fired = append(fired, PendingEvent{Cycle: cycle, Seq: seq})
+				if rng.Intn(4) == 0 {
+					at(s.Now() + uint64(rng.Intn(3*H)))
+				}
+			})
+			_, seq, _ = s.ClockState()
+		}
+		for i := 0; i < 200; i++ {
+			at(uint64(rng.Intn(3 * H)))
+		}
+		s.RunUntil(uint64(rng.Intn(2 * H)))
+		fired = nil
+		snap := s.SnapshotPending(s.Pending())
+		if len(snap) != s.Pending() {
+			t.Fatalf("round %d: snapshot has %d of %d events", round, len(snap), s.Pending())
+		}
+		// Events spawned after the snapshot carry later seqs; filter them.
+		_, last, _ := s.ClockState()
+		s.Drain(0)
+		var old []PendingEvent
+		for _, e := range fired {
+			if e.Seq <= last {
+				old = append(old, e)
+			}
+		}
+		if fmt.Sprint(old) != fmt.Sprint(snap) {
+			t.Fatalf("round %d: fire order diverges from snapshot", round)
+		}
 	}
 }

@@ -258,7 +258,7 @@ func (j *Journal) Close() error {
 
 // CampaignHash digests every option that shapes a campaign's Results — the
 // journal header's compatibility check. Presentation and execution-strategy
-// options (Progress, Parallelism, Jrun, Retries, the journal itself) are
+// options (Progress, Parallelism, Retries, the journal itself) are
 // excluded on purpose: they change wall-clock behaviour, never Results, so a
 // campaign may legitimately resume under different parallelism or retry
 // policy.

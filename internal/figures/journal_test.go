@@ -65,7 +65,9 @@ func referenceResults(t *testing.T) map[runKey]sim.Results {
 
 // TestJournalResumeSkipsCompleted is the journal's core acceptance: after a
 // completed campaign, a resumed campaign replays every run from the journal
-// — zero re-executions — and its results are byte-identical.
+// — zero re-executions — and its results are byte-identical. The resume
+// runs at a different Parallelism: execution strategy is outside both the
+// campaign hash and the per-record config hash, so it may change freely.
 func TestJournalResumeSkipsCompleted(t *testing.T) {
 	dir := t.TempDir()
 	journalCampaign(t, dir)
@@ -77,6 +79,7 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 	defer func() { simulateHook = nil }()
 
 	opts := journalOpts()
+	opts.Parallelism = 1
 	j, err := OpenJournal(dir, CampaignHash(opts), true)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func TestPromoteRaisesSwapRequest(t *testing.T) {
 	cfg.Channels = 1
 	cfg.SwapAgeLimit = 0 // no aging: promotion is the only escape
 	cfg.ClasslessEvery = 0
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 
 	// Keep the channel busy with demand, then enqueue a swap read and
 	// promote it: it must complete before the later demand tail.
@@ -42,7 +42,7 @@ func TestClasslessSlotGuaranteesBackgroundShare(t *testing.T) {
 	cfg.Channels = 1
 	cfg.SwapAgeLimit = 0
 	cfg.ClasslessEvery = 4
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 
 	// Saturating demand: a new demand request arrives forever (bounded),
 	// plus a batch of swap reads. Without the reserved slot the swaps
@@ -80,7 +80,7 @@ func TestAgingPromotesToMiddleClass(t *testing.T) {
 	cfg.Channels = 1
 	cfg.SwapAgeLimit = 100
 	cfg.ClasslessEvery = 0
-	d := New(sim.Lane(0), cfg, 0, 256<<20)
+	d := New(sim, cfg, 0, 256<<20)
 
 	done := false
 	d.Access(0x300000, false, PrioSwap, func() { done = true })
@@ -174,7 +174,7 @@ func refFeasible(m *Module, c *channel, r *request, now uint64) uint64 {
 // ones, and every set row-hit cache names the oldest matching request.
 func checkQueues(tb testing.TB, m *Module) {
 	tb.Helper()
-	now := m.lane.Now()
+	now := m.sim.Now()
 	for ci := range m.chans {
 		c := &m.chans[ci]
 		queued := map[*request]bool{}
@@ -254,13 +254,13 @@ type schedCoverage struct {
 func schedModule(sim *engine.Sim, sel uint8) *Module {
 	switch sel % 3 {
 	case 0:
-		return New(sim.Lane(0), DRAMConfig(), 0, 512<<20)
+		return New(sim, DRAMConfig(), 0, 512<<20)
 	case 1:
-		return New(sim.Lane(0), NVMConfig(), 512<<20, 4<<30)
+		return New(sim, NVMConfig(), 512<<20, 4<<30)
 	default:
 		cfg := DRAMConfig()
 		cfg.Channels = 1
-		return New(sim.Lane(0), cfg, 0, 256<<20)
+		return New(sim, cfg, 0, 256<<20)
 	}
 }
 
@@ -328,7 +328,7 @@ func runSchedStream(tb testing.TB, seed int64, sel uint8) schedCoverage {
 		if rng.Intn(2) == 0 {
 			prio = PrioSwap
 		}
-		sim.Lane(0).At(at, func() {
+		sim.At(at, func() {
 			m.Access(addr, write, prio, func() { completed++ })
 			checkQueues(tb, m)
 			if prio == PrioSwap {
@@ -336,7 +336,7 @@ func runSchedStream(tb testing.TB, seed int64, sel uint8) schedCoverage {
 			}
 		})
 		if rng.Intn(10) == 0 {
-			sim.Lane(0).At(at+uint64(rng.Intn(200)), func() {
+			sim.At(at+uint64(rng.Intn(200)), func() {
 				if len(swaps) == 0 {
 					return
 				}
@@ -406,7 +406,7 @@ func TestLocateShiftMatchesDivision(t *testing.T) {
 		base mem.Addr
 		size uint64
 	}{{DRAMConfig(), 0, 512 << 20}, {NVMConfig(), 512 << 20, 4 << 30}} {
-		m := New(engine.New().Lane(0), tc.cfg, tc.base, tc.size)
+		m := New(engine.New(), tc.cfg, tc.base, tc.size)
 		if !m.pow2 {
 			t.Fatalf("%s: power-of-two geometry not detected", tc.cfg.Name)
 		}
@@ -431,7 +431,7 @@ func TestLocateShiftMatchesDivision(t *testing.T) {
 func TestLocateNonPow2Geometry(t *testing.T) {
 	cfg := DRAMConfig()
 	cfg.Channels, cfg.RanksPerChannel, cfg.BanksPerRank = 3, 2, 3
-	m := New(engine.New().Lane(0), cfg, 0, 96<<20)
+	m := New(engine.New(), cfg, 0, 96<<20)
 	if m.pow2 {
 		t.Fatal("non-power-of-two geometry took the shift path")
 	}
@@ -465,7 +465,7 @@ func benchDeepQueue(b *testing.B, linear bool) {
 	const depth = 200
 	const size = 1 << 30
 	sim := engine.New()
-	m := New(sim.Lane(0), NVMConfig(), 0, size)
+	m := New(sim, NVMConfig(), 0, size)
 	if linear {
 		m.pickFn = func(c *channel, now uint64) (*request, uint64) { return refPick(m, c, now) }
 	}
@@ -515,7 +515,7 @@ func TestSnapshotQuiesceAndResume(t *testing.T) {
 		}
 	}
 	sim := engine.New()
-	m := New(sim.Lane(0), NVMConfig(), 0, 1<<30)
+	m := New(sim, NVMConfig(), 0, 1<<30)
 	stream(sim, m, 1, func(int, uint64) {})
 	if err := m.Snapshot(ckpt.NewWriter()); err == nil {
 		t.Fatal("snapshot of a module with queued requests succeeded")
@@ -531,7 +531,7 @@ func TestSnapshotQuiesceAndResume(t *testing.T) {
 	}
 	sim2 := engine.New()
 	sim2.RestoreClock(sim.ClockState())
-	m2 := New(sim2.Lane(0), NVMConfig(), 0, 1<<30)
+	m2 := New(sim2, NVMConfig(), 0, 1<<30)
 	m2.Restore(r)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)

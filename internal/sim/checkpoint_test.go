@@ -5,16 +5,9 @@ import (
 	"testing"
 )
 
-// ckptConfig is tinyConfig without the parallel-matrix Jrun override:
-// checkpoints are gated to serial runs, and the gate is tested separately.
+// ckptConfig is the detailed-mode configuration the checkpoint tests use.
 func ckptConfig(scheme Scheme, wl string) Config {
-	cfg := DefaultConfig()
-	cfg.Scheme = scheme
-	cfg.Workload = wl
-	cfg.InstrPerCore = 120_000
-	cfg.Warmup = 60_000
-	cfg.MaxCores = 2
-	return cfg
+	return tinyConfig(scheme, wl)
 }
 
 func ckptSampledConfig(scheme Scheme, wl string) Config {
@@ -116,7 +109,6 @@ func TestSnapshotGates(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"jrun", func(c *Config) { c.Jrun = 4 }},
 		{"audit", func(c *Config) { c.Audit = true }},
 		{"ledger", func(c *Config) { c.Obs.Ledger = true }},
 		{"cpi", func(c *Config) { c.Obs.CPI = true }},

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build test race benchsmoke bench campaign-bench allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint fuzz-scheduler fuzz-correlator trace-demo
+.PHONY: tier1 vet build test race benchsmoke bench campaign-bench allocguard benchguard effectiveness-smoke cpi-smoke pagemap-smoke sample-smoke ledger-overhead invariants chaos-smoke chaos resume-smoke fuzz-validate fuzz-checkpoint fuzz-scheduler fuzz-correlator fuzz-metacache trace-demo
 
 ## tier1: the full pre-PR gate — vet, build, race-enabled tests, a
 ## one-shot figure-campaign smoke bench, the alloc-budget guards, the
@@ -150,9 +150,10 @@ fuzz-checkpoint:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointQuiesce -fuzztime 20s ./internal/sim
 
 ## fuzz-scheduler: fuzz the memory channel scheduler over randomized
-## request streams (DRAM, NVM, one-channel part) — the bank-head pick must
-## always choose the same request and start cycle as the linear reference
-## scan, with the queue bookkeeping consistent after every step.
+## request streams (DRAM, NVM, two one-channel parts, one with 80 banks) —
+## the bank-head pick must always choose the same request and start cycle
+## as the linear reference scan, with the queue bookkeeping and the bank
+## occupancy masks consistent after every step.
 fuzz-scheduler:
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 20s ./internal/memsim
 
@@ -162,6 +163,15 @@ fuzz-scheduler:
 ## the list consistent after every miss.
 fuzz-correlator:
 	$(GO) test -run '^$$' -fuzz FuzzCorrelator -fuzztime 20s ./internal/core
+
+## fuzz-metacache: fuzz the controller metadata cache over randomized
+## access, prefetch, functional-access and out-of-order fetch-return
+## streams (1-4 ways, 1-7 sets, 1-20 entries per line) — the one-pass line
+## fill and the live-fetch slice must match the find+install+pending-map
+## reference in residency, LRU stamps, dirty bits, line traffic and waiter
+## release order after every step.
+fuzz-metacache:
+	$(GO) test -run '^$$' -fuzz FuzzMetaCacheFill -fuzztime 20s ./internal/hmc
 
 ## trace-demo: produce a sample Perfetto trace + epoch timeline from a
 ## quick run (open trace-demo.json at https://ui.perfetto.dev).

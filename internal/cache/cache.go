@@ -91,11 +91,25 @@ func L3Config() Config {
 	return Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, LatencyCycles: 32, AllowPTE: true}
 }
 
+// line is one way in 16 bytes. stamp packs the LRU tick of the last use
+// (larger = more recently used) above the dirty bit. Ticks start at 1 and
+// are unique, so stamps order like ticks, and an invalid way — which
+// nothing ever writes — has stamp 0, below every valid one.
 type line struct {
 	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
+	stamp uint64
+}
+
+func (ln *line) valid() bool { return ln.stamp != 0 }
+func (ln *line) dirty() bool { return ln.stamp&1 != 0 }
+func (ln *line) lru() uint64 { return ln.stamp >> 1 }
+
+// dirtyBit is a line stamp's dirty bit for a write.
+func dirtyBit(write bool) uint64 {
+	if write {
+		return 1
+	}
+	return 0
 }
 
 // mshr tracks one outstanding miss. Records are pooled per cache with a
@@ -115,6 +129,9 @@ type mshr struct {
 	vwaiters []*attrib.Vector
 	fillFn   func()
 	next     *mshr
+	// setPrev/setNext link the outstanding MSHRs of one set (unordered: a
+	// line has at most one outstanding MSHR, so lookups match at most one).
+	setPrev, setNext *mshr
 }
 
 // cacheTxn carries one access across this level's tag-lookup latency: the
@@ -166,8 +183,11 @@ type Cache struct {
 	nSets   uint64
 	setBits uint // log2(nSets); Validate guarantees nSets is a power of two
 	lruTick uint64
-	mshrs   map[mem.Addr]*mshr
-	stats   Stats
+	// mshrHead heads each set's chain of outstanding MSHRs; outstanding
+	// counts them across all sets.
+	mshrHead    []*mshr
+	outstanding int
+	stats       Stats
 
 	// nextFunc caches the next-level FunctionalBackend assertion for the
 	// sampled fast-forward path; nil until first functional use.
@@ -195,13 +215,13 @@ func New(sim *engine.Sim, cfg Config, next Backend) *Cache {
 	}
 	nSets := cfg.SizeBytes / mem.LineSize / cfg.Ways
 	c := &Cache{
-		sim:     sim,
-		cfg:     cfg,
-		next:    next,
-		comp:    blameFor(cfg.Name),
-		nSets:   uint64(nSets),
-		setBits: uint(bits.TrailingZeros64(uint64(nSets))),
-		mshrs:   make(map[mem.Addr]*mshr),
+		sim:      sim,
+		cfg:      cfg,
+		next:     next,
+		comp:     blameFor(cfg.Name),
+		nSets:    uint64(nSets),
+		setBits:  uint(bits.TrailingZeros64(uint64(nSets))),
+		mshrHead: make([]*mshr, nSets),
 	}
 	// One contiguous backing array: set i is ways [i*Ways, (i+1)*Ways).
 	all := make([]line, nSets*cfg.Ways)
@@ -239,9 +259,13 @@ func (c *Cache) index(l mem.Addr) (set uint64, tag uint64) {
 
 func (c *Cache) lookup(l mem.Addr) *line {
 	set, tag := c.index(l)
+	return c.lookupIn(set, tag)
+}
+
+func (c *Cache) lookupIn(set, tag uint64) *line {
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+		if ln.stamp != 0 && ln.tag == tag {
 			return ln
 		}
 	}
@@ -319,13 +343,10 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	// previous stamp, hit or miss alike (a miss still paid the lookup before
 	// the fetch below was issued).
 	meta.V.Take(c.comp, c.sim.Now())
-	if ln := c.lookup(l); ln != nil {
+	set, tag := c.index(l)
+	if ln := c.lookupIn(set, tag); ln != nil {
 		c.stats.Hits++
-		c.lruTick++
-		ln.lru = c.lruTick
-		if write {
-			ln.dirty = true
-		}
+		c.use(ln, write)
 		if done != nil {
 			done()
 		}
@@ -335,7 +356,7 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	if meta.IsPTE {
 		c.stats.PTEMiss++
 	}
-	if m, ok := c.mshrs[l]; ok {
+	if m := c.findMSHR(set, l); m != nil {
 		c.stats.MSHRMerges++
 		m.write = m.write || write
 		if done != nil {
@@ -351,18 +372,43 @@ func (c *Cache) afterTagLookup(t *cacheTxn) {
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
-	c.mshrs[l] = m
+	if h := c.mshrHead[set]; h != nil {
+		h.setPrev = m
+		m.setNext = h
+	}
+	c.mshrHead[set] = m
+	c.outstanding++
 	// Fetch the line from below. The fill installs it and releases waiters.
 	fetchMeta := meta
 	fetchMeta.Writeback = false
 	c.next.Access(l, false, fetchMeta, m.fillFn)
 }
 
+// findMSHR returns line l's outstanding MSHR in set, or nil.
+func (c *Cache) findMSHR(set uint64, l mem.Addr) *mshr {
+	for m := c.mshrHead[set]; m != nil; m = m.setNext {
+		if m.line == l {
+			return m
+		}
+	}
+	return nil
+}
+
 func (c *Cache) fill(m *mshr) {
-	if got, ok := c.mshrs[m.line]; !ok || got != m {
+	set, _ := c.index(m.line)
+	switch {
+	case m.setPrev != nil:
+		m.setPrev.setNext = m.setNext
+	case c.mshrHead[set] == m:
+		c.mshrHead[set] = m.setNext
+	default:
 		panic(fmt.Sprintf("cache %s: fill for %#x without MSHR", c.cfg.Name, uint64(m.line)))
 	}
-	delete(c.mshrs, m.line)
+	if m.setNext != nil {
+		m.setNext.setPrev = m.setPrev
+	}
+	m.setPrev, m.setNext = nil, nil
+	c.outstanding--
 	c.install(m.line, m.write, m.meta)
 	// Mergers spent their whole wait parked in this MSHR while the creator's
 	// vector accumulated the downstream story; charge them the wait here.
@@ -381,27 +427,33 @@ func (c *Cache) fill(m *mshr) {
 	c.putMSHR(m)
 }
 
+// use stamps ln with a fresh tick, setting its dirty bit on a write.
+func (c *Cache) use(ln *line, write bool) {
+	c.lruTick++
+	ln.stamp = c.lruTick<<1 | ln.stamp&1 | dirtyBit(write)
+}
+
+// install fills l into the first invalid way of its set, else the least
+// recently used: invalid ways have stamp 0, so that is simply the earliest
+// way of least stamp.
 func (c *Cache) install(l mem.Addr, dirty bool, meta Meta) {
 	set, tag := c.index(l)
-	victim := &c.sets[set][0]
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
-			victim = ln
-			break
-		}
-		if ln.lru < victim.lru {
-			victim = ln
+	ways := c.sets[set]
+	v, least := 0, ways[0].stamp
+	for i := 1; i < len(ways); i++ {
+		if ways[i].stamp < least {
+			v, least = i, ways[i].stamp
 		}
 	}
-	if victim.valid && victim.dirty {
+	victim := &ways[v]
+	if victim.dirty() {
 		c.stats.Writebacks++
 		victimAddr := mem.Addr((victim.tag*c.nSets + set) << mem.LineShift)
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}
 		c.next.Access(victimAddr, true, wb, nil)
 	}
 	c.lruTick++
-	*victim = line{tag: tag, valid: true, dirty: dirty, lru: c.lruTick}
+	*victim = line{tag: tag, stamp: c.lruTick<<1 | dirtyBit(dirty)}
 }
 
 // FunctionalBackend is the no-event counterpart of Backend: service a line
@@ -423,45 +475,30 @@ func (c *Cache) AccessFunctional(addr mem.Addr, write bool, meta Meta) {
 		panic(fmt.Sprintf("cache %s: PTE request reached a level that does not cache PTEs", c.cfg.Name))
 	}
 	set, tag := c.index(l)
-	if ln := c.mru; ln != nil && c.mruSet == set && ln.valid && ln.tag == tag {
-		c.hitFunctional(ln, write)
+	if ln := c.mru; ln != nil && c.mruSet == set && ln.stamp != 0 && ln.tag == tag {
+		c.use(ln, write)
 		return
 	}
-	// One pass finds the line or, failing that, install's victim: the first
-	// invalid way, else the least recently used (earliest way on ties).
+	// One pass finds the line or, failing that, install's victim: the
+	// earliest way of least stamp.
 	ways := c.sets[set]
-	victim := &ways[0]
-	invalid := false
+	v, least := 0, ways[0].stamp
 	for i := range ways {
-		w := &ways[i]
-		if !w.valid {
-			if !invalid {
-				victim, invalid = w, true
-			}
-			continue
-		}
-		if w.tag == tag {
-			c.mru, c.mruSet = w, set
-			c.hitFunctional(w, write)
+		st := ways[i].stamp
+		if st != 0 && ways[i].tag == tag {
+			c.mru, c.mruSet = &ways[i], set
+			c.use(&ways[i], write)
 			return
 		}
-		if !invalid && w.lru < victim.lru {
-			victim = w
+		if st < least {
+			v, least = i, st
 		}
 	}
 	fetchMeta := meta
 	fetchMeta.Writeback = false
 	fetchMeta.V = nil
 	c.functionalNext().AccessFunctional(l, false, fetchMeta)
-	c.fillFunctional(victim, set, tag, write, meta)
-}
-
-func (c *Cache) hitFunctional(ln *line, write bool) {
-	c.lruTick++
-	ln.lru = c.lruTick
-	if write {
-		ln.dirty = true
-	}
+	c.fillFunctional(&ways[v], set, tag, write, meta)
 }
 
 // functionalNext asserts the backend's functional interface, caching the
@@ -483,13 +520,13 @@ func (c *Cache) functionalNext() FunctionalBackend {
 // a detailed run would have produced. The levels below never touch this
 // cache's sets, so the victim chosen before the fetch is still install's.
 func (c *Cache) fillFunctional(victim *line, set, tag uint64, dirty bool, meta Meta) {
-	if victim.valid && victim.dirty {
+	if victim.dirty() {
 		victimAddr := mem.Addr((victim.tag*c.nSets + set) << mem.LineShift)
 		wb := Meta{Core: meta.Core, PID: meta.PID, Writeback: true}
 		c.functionalNext().AccessFunctional(victimAddr, true, wb)
 	}
 	c.lruTick++
-	*victim = line{tag: tag, valid: true, dirty: dirty, lru: c.lruTick}
+	*victim = line{tag: tag, stamp: c.lruTick<<1 | dirtyBit(dirty)}
 	c.mru, c.mruSet = victim, set
 }
 
@@ -499,13 +536,13 @@ func (c *Cache) Contains(addr mem.Addr) bool {
 }
 
 // OutstandingMisses returns the number of live MSHRs (for tests).
-func (c *Cache) OutstandingMisses() int { return len(c.mshrs) }
+func (c *Cache) OutstandingMisses() int { return c.outstanding }
 
 // Audit reports end-of-run invariant violations: a quiesced cache has no
 // outstanding MSHRs and every pooled record back on its free list.
 func (c *Cache) Audit(a *check.Audit) {
-	a.Checkf(len(c.mshrs) == 0,
-		"cache %s: %d MSHR(s) still outstanding at quiescence (leaked miss)", c.cfg.Name, len(c.mshrs))
+	a.Checkf(c.outstanding == 0,
+		"cache %s: %d MSHR(s) still outstanding at quiescence (leaked miss)", c.cfg.Name, c.outstanding)
 	a.Checkf(c.liveMSHR == 0,
 		"cache %s: %d pooled MSHR record(s) never returned", c.cfg.Name, c.liveMSHR)
 	a.Checkf(c.liveTxn == 0,

@@ -11,9 +11,9 @@ import (
 // It refuses a non-quiesced cache (outstanding MSHRs hold in-flight fills a
 // snapshot cannot capture).
 func (c *Cache) Snapshot(w *ckpt.Writer) error {
-	if len(c.mshrs) != 0 || c.liveTxn != 0 || c.liveMSHR != 0 {
+	if c.outstanding != 0 || c.liveTxn != 0 || c.liveMSHR != 0 {
 		return fmt.Errorf("cache %s: %d MSHR(s), %d txn record(s), %d MSHR record(s) live; snapshot requires quiescence",
-			c.cfg.Name, len(c.mshrs), c.liveTxn, c.liveMSHR)
+			c.cfg.Name, c.outstanding, c.liveTxn, c.liveMSHR)
 	}
 	w.Section("cache." + c.cfg.Name)
 	w.U64(c.lruTick)
@@ -23,9 +23,9 @@ func (c *Cache) Snapshot(w *ckpt.Writer) error {
 		for j := range c.sets[i] {
 			ln := &c.sets[i][j]
 			w.U64(ln.tag)
-			w.Bool(ln.valid)
-			w.Bool(ln.dirty)
-			w.U64(ln.lru)
+			w.Bool(ln.valid())
+			w.Bool(ln.dirty())
+			w.U64(ln.lru())
 		}
 	}
 	w.U64(c.stats.Accesses)
@@ -52,9 +52,11 @@ func (c *Cache) Restore(r *ckpt.Reader) {
 		for j := range c.sets[i] {
 			ln := &c.sets[i][j]
 			ln.tag = r.U64()
-			ln.valid = r.Bool()
-			ln.dirty = r.Bool()
-			ln.lru = r.U64()
+			valid, dirty, lru := r.Bool(), r.Bool(), r.U64()
+			ln.stamp = 0
+			if valid {
+				ln.stamp = lru<<1 | dirtyBit(dirty)
+			}
 		}
 	}
 	c.stats.Accesses = r.U64()

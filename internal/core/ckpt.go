@@ -292,9 +292,11 @@ func (p *PageSeer) Restore(r *ckpt.Reader) {
 	p.hptNVM.restoreState(r)
 	p.pte.restoreState(r)
 	p.remap = make(map[mem.PPN]mem.PPN)
+	clear(p.remapped)
 	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
 		k := mem.PPN(r.U64())
 		p.remap[k] = mem.PPN(r.U64())
+		p.markRemapped(k)
 	}
 	p.colorRR = make(map[int]mem.PPN)
 	for n := r.Int(); n > 0 && r.Err() == nil; n-- {

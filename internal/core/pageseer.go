@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
@@ -127,6 +128,10 @@ type PageSeer struct {
 	// D are swapped, remap[N]=D and remap[D]=N. Pages not present are at
 	// their OS-assigned frames — the PRT invariant of Section III-C1.
 	remap map[mem.PPN]mem.PPN
+	// remapped has bit f set exactly when f is a key of remap, so the
+	// common lookup of a page at its home frame skips the map. remap stays
+	// the source of truth; pair and unmap keep the two in step.
+	remapped []uint64
 
 	inflight map[mem.PPN]*swapJob
 	// The Swap Driver's request queue: prefetch swaps (the early, targeted
@@ -343,6 +348,7 @@ func New(ctl *hmc.Controller, cfg Config) *PageSeer {
 		colorRR:     make(map[int]mem.PPN),
 		prefTracks:  make(map[mem.PPN]*prefTrack),
 	}
+	p.remapped = make([]uint64, (ctl.Layout.Total()>>mem.PageShift+63)/64)
 	p.prtRegion = ctl.AllocMetaRegion(cfg.PRTBytes, 4)  // 3.5B entries, rounded
 	p.pctRegion = ctl.AllocMetaRegion(cfg.PCTBytes, 11) // 10.5B entries
 	p.prtc = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
@@ -401,10 +407,41 @@ func (p *PageSeer) PTEDriver() *PTECache { return p.pte }
 
 // frameOf returns the frame currently holding page's data.
 func (p *PageSeer) frameOf(page mem.PPN) mem.PPN {
-	if f, ok := p.remap[page]; ok {
+	if f, ok := p.partnerOf(page); ok {
 		return f
 	}
 	return page
+}
+
+// partnerOf returns the page page has exchanged frames with, if any.
+func (p *PageSeer) partnerOf(page mem.PPN) (mem.PPN, bool) {
+	if w := uint64(page) >> 6; w >= uint64(len(p.remapped)) || p.remapped[w]&(1<<(page&63)) == 0 {
+		return 0, false
+	}
+	return p.remap[page], true
+}
+
+// pair records that pages a and b have exchanged frames.
+func (p *PageSeer) pair(a, b mem.PPN) {
+	p.remap[a], p.remap[b] = b, a
+	p.markRemapped(a)
+	p.markRemapped(b)
+}
+
+func (p *PageSeer) markRemapped(page mem.PPN) {
+	w := int(uint64(page) >> 6)
+	if w >= len(p.remapped) {
+		p.remapped = append(p.remapped, make([]uint64, w+1-len(p.remapped))...)
+	}
+	p.remapped[w] |= 1 << (page & 63)
+}
+
+// unmap drops page's remap entry: its data is back at its home frame.
+func (p *PageSeer) unmap(page mem.PPN) {
+	delete(p.remap, page)
+	if w := uint64(page) >> 6; w < uint64(len(p.remapped)) {
+		p.remapped[w] &^= 1 << (page & 63)
+	}
 }
 
 // TranslateLine implements hmc.Manager.
@@ -716,7 +753,7 @@ func (p *PageSeer) pickVictim(color int) (frame mem.PPN, partner mem.PPN, hasPar
 		}
 		if !p.pinned(f) && !p.ctl.FrozenByDMA(f) && p.inflight[f] == nil {
 			resident := f
-			pn, swapped := p.remap[f]
+			pn, swapped := p.partnerOf(f)
 			if swapped {
 				resident = pn
 			}
@@ -752,7 +789,7 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 	if p.residentDRAM(page) || p.inflight[page] != nil {
 		return
 	}
-	if nPartner, displaced := p.remap[page]; displaced {
+	if nPartner, displaced := p.partnerOf(page); displaced {
 		// page is a DRAM-original page whose data was pushed to NVM by an
 		// earlier swap and has become hot again: restore the pair to its
 		// original positions (the PRT design's only legal move).
@@ -856,8 +893,8 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 			{Src: nSlot, Dst: dSlot, Bytes: mem.PageSize},
 		}},
 		OnComplete: func() {
-			delete(p.remap, dPage)
-			delete(p.remap, nPartner)
+			p.unmap(dPage)
+			p.unmap(nPartner)
 			p.ctl.Oracle.Exchange(uint64(dPage), uint64(nPartner))
 			p.finalizeTrack(nPartner) // it just left DRAM
 			p.hptNVM.Remove(dPage)
@@ -914,15 +951,14 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 	if hasPartner {
 		// Net permutation: frame holds page's data, partner is home, the
 		// DRAM page's data sits in page's old NVM slot.
-		delete(p.remap, partner)
+		p.unmap(partner)
 		p.ctl.Oracle.Exchange(uint64(frame), uint64(page))
 		p.ctl.Oracle.Exchange(uint64(page), uint64(partner))
 		p.finalizeTrack(partner)
 	} else {
 		p.ctl.Oracle.Exchange(uint64(page), uint64(frame))
 	}
-	p.remap[page] = frame
-	p.remap[frame] = page
+	p.pair(page, frame)
 
 	// Persist the PRT entry (one metadata line write) and refresh the PRTc.
 	p.ctl.IssueLine(p.prtRegion.EntryAddr(uint64(frame)), true, hmc.PrioSwap, nil)
@@ -1072,7 +1108,16 @@ func (p *PageSeer) Audit(a *check.Audit) {
 	a.Checkf(len(p.prefTracks) == 0,
 		"pageseer: %d prefetch-accuracy window(s) still open after Finish", len(p.prefTracks))
 	layout := p.ctl.Layout
+	set := 0
+	for _, w := range p.remapped {
+		set += bits.OnesCount64(w)
+	}
+	a.Checkf(set == len(p.remap),
+		"pageseer: remapped bitset marks %d frame(s), remap holds %d", set, len(p.remap))
 	for page, frame := range p.remap {
+		if _, ok := p.partnerOf(page); !ok {
+			a.Violationf("pageseer: remap[%#x] not marked in the remapped bitset", uint64(page))
+		}
 		if back, ok := p.remap[frame]; !ok || back != page {
 			a.Violationf("pageseer: remap asymmetric: remap[%#x]=%#x but remap[%#x]=%#x",
 				uint64(page), uint64(frame), uint64(frame), uint64(back))

@@ -1,6 +1,7 @@
 package hmc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,5 +68,35 @@ func TestMetaCacheAuditCatchesStuckFetch(t *testing.T) {
 	mc.Audit(a)
 	if a.OK() {
 		t.Fatal("audit missed a metadata fetch that never returned")
+	}
+}
+
+// TestDescribeRunningStartOrder pins the crashdump's swap-engine section:
+// one line per wedged op in start order (not sorted by text), with its
+// parked demand waiters counted.
+func TestDescribeRunningStartOrder(t *testing.T) {
+	sim := engine.New()
+	drop := func(addr mem.Addr, write bool, prio Priority, done func()) {}
+	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), drop, nil)
+	for i, label := range []string{"swap:z", "", "swap:a"} {
+		op := pageSwapOp(mem.Addr(2*i)*mem.PageSize, mem.Addr(2*i+1)*mem.PageSize, nil)
+		op.Label, op.Tag = label, i
+		if !e.Start(op) {
+			t.Fatal("Start rejected a valid op")
+		}
+		sim.RunUntil(sim.Now() + uint64(10*(i+1)))
+	}
+	// Two waiters on an issued line of the second op, one on an unissued
+	// line of the third.
+	e.TryService(2*mem.PageSize, nil, func() {})
+	e.TryService(2*mem.PageSize, nil, func() {})
+	e.TryService(5*mem.PageSize+mem.PageSize-mem.LineSize, nil, func() {})
+	want := []string{
+		`op "swap:z" tag=0 began=0 stage=1/1 readsLeft=128 writesLeft=128 inflight=32 waiters=0`,
+		`op "swap" tag=1 began=10 stage=1/1 readsLeft=128 writesLeft=128 inflight=32 waiters=2`,
+		`op "swap:a" tag=2 began=30 stage=1/1 readsLeft=128 writesLeft=128 inflight=33 waiters=1`,
+	}
+	if got := e.DescribeRunning(); !slices.Equal(got, want) {
+		t.Fatalf("DescribeRunning() =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -55,22 +55,20 @@ func (o *Oracle) Restore(r *ckpt.Reader) {
 // valid, dirty, LRU), the LRU clock, and the counters. It refuses a
 // non-quiesced cache (pending line fetches hold in-flight waiters).
 func (c *MetaCache) Snapshot(w *ckpt.Writer) error {
-	if len(c.pending) != 0 || c.liveTxn != 0 || c.liveFetch != 0 {
+	if len(c.fetches) != 0 || c.liveTxn != 0 || c.liveFetch != 0 {
 		return fmt.Errorf("meta cache %s: %d pending fetch(es), %d access record(s), %d fetch record(s) live; snapshot requires quiescence",
-			c.cfg.Name, len(c.pending), c.liveTxn, c.liveFetch)
+			c.cfg.Name, len(c.fetches), c.liveTxn, c.liveFetch)
 	}
 	w.Section("hmc.meta." + c.cfg.Name)
 	w.U64(c.tick)
-	w.Int(len(c.sets))
+	w.Int(int(c.nSets))
 	w.Int(c.cfg.Ways)
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			l := &c.sets[i][j]
-			w.U64(l.key)
-			w.Bool(l.valid)
-			w.Bool(l.dirty)
-			w.U64(l.lru)
-		}
+	for i := range c.lines {
+		l := &c.lines[i]
+		w.U64(l.key)
+		w.Bool(l.valid())
+		w.Bool(l.dirty())
+		w.U64(l.lru())
 	}
 	w.U64(c.stats.Hits)
 	w.U64(c.stats.Misses)
@@ -85,17 +83,20 @@ func (c *MetaCache) Snapshot(w *ckpt.Writer) error {
 func (c *MetaCache) Restore(r *ckpt.Reader) {
 	r.Section("hmc.meta." + c.cfg.Name)
 	c.tick = r.U64()
-	if n, ways := r.Int(), r.Int(); n != len(c.sets) || ways != c.cfg.Ways {
-		r.Failf("meta cache %s: snapshot geometry %dx%d, built %dx%d", c.cfg.Name, n, ways, len(c.sets), c.cfg.Ways)
+	if n, ways := r.Int(), r.Int(); n != int(c.nSets) || ways != c.cfg.Ways {
+		r.Failf("meta cache %s: snapshot geometry %dx%d, built %dx%d", c.cfg.Name, n, ways, c.nSets, c.cfg.Ways)
 		return
 	}
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			l := &c.sets[i][j]
-			l.key = r.U64()
-			l.valid = r.Bool()
-			l.dirty = r.Bool()
-			l.lru = r.U64()
+	for i := range c.lines {
+		l := &c.lines[i]
+		l.key = r.U64()
+		valid, dirty, lru := r.Bool(), r.Bool(), r.U64()
+		l.stamp = 0
+		if valid {
+			l.stamp = lru << 1
+			if dirty {
+				l.stamp |= 1
+			}
 		}
 	}
 	c.stats.Hits = r.U64()
@@ -105,15 +106,15 @@ func (c *MetaCache) Restore(r *ckpt.Reader) {
 	c.stats.WaitCycles = r.U64()
 }
 
-// Snapshot serializes the swap engine's counters. The running set and the
-// line-ownership index are provably empty at a quiesce point (the audit's
+// Snapshot serializes the swap engine's counters. The running list and the
+// pooled line records are provably empty at a quiesce point (the audit's
 // invariant), so counters are the engine's only durable state; the op
 // sequence number rides along so trace-track assignment stays stable across
 // a restore.
 func (e *SwapEngine) Snapshot(w *ckpt.Writer) error {
-	if len(e.running) != 0 || len(e.lineOwner) != 0 || e.liveOp != 0 || e.liveLine != 0 {
-		return fmt.Errorf("swap engine: %d op(s) running, %d line(s) owned; snapshot requires quiescence",
-			len(e.running), len(e.lineOwner))
+	if len(e.running) != 0 || e.liveOp != 0 || e.liveLine != 0 {
+		return fmt.Errorf("swap engine: %d op(s) running, %d line(s) live; snapshot requires quiescence",
+			len(e.running), e.liveLine)
 	}
 	w.Section("hmc.swap")
 	w.U64(e.opSeq)

@@ -89,12 +89,19 @@ func (s *MetaCacheStats) Add(o MetaCacheStats) {
 	s.WaitCycles += o.WaitCycles
 }
 
+// metaLine is one cached entry in 16 bytes, so a 4-way set fills one
+// 64-byte host cache line. stamp packs the LRU tick of the last use above
+// the dirty bit; ticks start at 1 and are unique, so stamps order like
+// ticks, and an invalid way — which nothing ever writes — has stamp 0,
+// below every valid one.
 type metaLine struct {
 	key   uint64
-	valid bool
-	dirty bool
-	lru   uint64
+	stamp uint64
 }
+
+func (l *metaLine) valid() bool { return l.stamp != 0 }
+func (l *metaLine) dirty() bool { return l.stamp&1 != 0 }
+func (l *metaLine) lru() uint64 { return l.stamp >> 1 }
 
 // MetaCache models an on-controller SRAM cache of a DRAM-resident metadata
 // table. Keys are entry indices into the backing table. A miss issues one
@@ -108,13 +115,18 @@ type MetaCache struct {
 	region MetaRegion
 	issue  IssueFunc
 
-	epl       uint64
-	sets      [][]metaLine
-	tick      uint64
-	pending   map[uint64][]func() // keyed by line index
+	epl   uint64
+	nSets uint64
+	ways  int
+	lines []metaLine // set s is lines[s*ways : (s+1)*ways]
+	tick  uint64
+	// fetches holds the in-flight line fetches in no particular order, and
+	// fetchKeys their line keys at the same positions: a miss scans the
+	// keys for a fetch to merge into.
+	fetches   []*fetchTxn
+	fetchKeys []uint64
 	freeTxn   *metaTxn
 	freeFetch *fetchTxn
-	freeWs    [][]func()
 	liveTxn   int // pooled access records checked out
 	liveFetch int // pooled fetch records checked out
 	stats     MetaCacheStats
@@ -164,11 +176,15 @@ func (c *MetaCache) putTxn(t *metaTxn) {
 	c.freeTxn = t
 }
 
-// fetchTxn carries one in-flight DRAM line fetch with its pre-bound return
-// continuation, so miss fetches allocate nothing in steady state.
+// fetchTxn carries one in-flight DRAM line fetch: the line key, the
+// accesses parked on it in arrival order, and the pre-bound return
+// continuation. Pooled, with the waiter slice keeping its capacity, so miss
+// fetches allocate nothing in steady state.
 type fetchTxn struct {
 	c    *MetaCache
 	lk   uint64
+	idx  int // position in c.fetches
+	ws   []func()
 	fn   func()
 	next *fetchTxn
 }
@@ -188,27 +204,36 @@ func (c *MetaCache) getFetch() *fetchTxn {
 
 func (c *MetaCache) putFetch(t *fetchTxn) {
 	c.liveFetch--
-	t.lk = 0
+	for i := range t.ws {
+		t.ws[i] = nil
+	}
+	t.ws = t.ws[:0]
+	t.lk, t.idx = 0, 0
 	t.next = c.freeFetch
 	c.freeFetch = t
 }
 
-// getWs and putWs recycle pending-waiter slices (capacity persists across
-// miss episodes).
-func (c *MetaCache) getWs() []func() {
-	if n := len(c.freeWs); n > 0 {
-		ws := c.freeWs[n-1]
-		c.freeWs = c.freeWs[:n-1]
-		return ws
+// inflight returns the live fetch of line lk, or nil.
+func (c *MetaCache) inflight(lk uint64) *fetchTxn {
+	for i, k := range c.fetchKeys {
+		if k == lk {
+			return c.fetches[i]
+		}
 	}
-	return make([]func(), 0, 4)
+	return nil
 }
 
-func (c *MetaCache) putWs(ws []func()) {
-	for i := range ws {
-		ws[i] = nil
+// dropFetch removes t from the live list (moving the last entry into its
+// place).
+func (c *MetaCache) dropFetch(t *fetchTxn) {
+	last := len(c.fetches) - 1
+	if t.idx != last {
+		m := c.fetches[last]
+		m.idx = t.idx
+		c.fetches[t.idx], c.fetchKeys[t.idx] = m, m.lk
 	}
-	c.freeWs = append(c.freeWs, ws[:0])
+	c.fetches[last] = nil
+	c.fetches, c.fetchKeys = c.fetches[:last], c.fetchKeys[:last]
 }
 
 // NewMetaCache builds a metadata cache over a DRAM region.
@@ -220,29 +245,26 @@ func NewMetaCache(sim *engine.Sim, cfg MetaCacheConfig, region MetaRegion, issue
 		cfg.EntriesPerLine = 1
 	}
 	nSets := cfg.Entries / cfg.Ways
-	c := &MetaCache{
-		sim:     sim,
-		cfg:     cfg,
-		region:  region,
-		issue:   issue,
-		epl:     uint64(cfg.EntriesPerLine),
-		pending: make(map[uint64][]func()),
+	return &MetaCache{
+		sim:    sim,
+		cfg:    cfg,
+		region: region,
+		issue:  issue,
+		epl:    uint64(cfg.EntriesPerLine),
+		nSets:  uint64(nSets),
+		ways:   cfg.Ways,
+		lines:  make([]metaLine, nSets*cfg.Ways),
 	}
-	c.sets = make([][]metaLine, nSets)
-	for i := range c.sets {
-		c.sets[i] = make([]metaLine, cfg.Ways)
-	}
-	return c
 }
 
 // Config returns the cache configuration.
 func (c *MetaCache) Config() MetaCacheConfig { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *MetaCache) Sets() int { return len(c.sets) }
+func (c *MetaCache) Sets() int { return int(c.nSets) }
 
 // SetOf returns the set index key maps to.
-func (c *MetaCache) SetOf(key uint64) int { return int(key % uint64(len(c.sets))) }
+func (c *MetaCache) SetOf(key uint64) int { return int(key % c.nSets) }
 
 // Stats returns a snapshot of the counters.
 func (c *MetaCache) Stats() MetaCacheStats { return c.stats }
@@ -250,14 +272,37 @@ func (c *MetaCache) Stats() MetaCacheStats { return c.stats }
 // lineKey groups adjacent table entries that share a DRAM line.
 func (c *MetaCache) lineKey(key uint64) uint64 { return key / c.epl }
 
+// set returns the ways of set s.
+func (c *MetaCache) set(s uint64) []metaLine {
+	i := int(s) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways]
+}
+
 func (c *MetaCache) find(key uint64) *metaLine {
-	set := c.sets[c.SetOf(key)]
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			return &set[i]
-		}
+	if l, hit := c.slot(key%c.nSets, key); hit {
+		return l
 	}
 	return nil
+}
+
+// slot looks key up in set s in one pass: it returns key's way and true
+// when key is resident, else the way an install of key fills and false —
+// the first invalid way, else the least recently used. Invalid ways have
+// stamp 0, below every valid way's, so that is simply the earliest way of
+// least stamp.
+func (c *MetaCache) slot(s, key uint64) (*metaLine, bool) {
+	set := c.set(s)
+	v, least := 0, set[0].stamp
+	for i := range set {
+		st := set[i].stamp
+		if st != 0 && set[i].key == key {
+			return &set[i], true
+		}
+		if st < least {
+			v, least = i, st
+		}
+	}
+	return &set[v], false
 }
 
 // Present reports whether key is cached (no LRU update, no timing).
@@ -344,87 +389,69 @@ func (c *MetaCache) AccessUrgent(key uint64, done func()) {
 }
 
 func (c *MetaCache) fetchUrgent(key uint64, done func()) {
-	lk := c.lineKey(key)
-	if ws, inflight := c.pending[lk]; inflight {
-		if done != nil {
-			c.pending[lk] = append(ws, done)
-		}
-		return
-	}
-	list := c.getWs()
-	if done != nil {
-		list = append(list, done)
-	}
-	c.pending[lk] = list
-	c.issueFetch(key, lk, PrioDemand)
+	c.fetchAt(key, PrioDemand, done)
 }
 
 func (c *MetaCache) fetch(key uint64, prefetch bool, done func()) {
-	lk := c.lineKey(key)
-	if ws, inflight := c.pending[lk]; inflight {
-		if done != nil {
-			c.pending[lk] = append(ws, done)
-		}
-		return
-	}
-	list := c.getWs()
-	if done != nil {
-		list = append(list, done)
-	}
-	c.pending[lk] = list
 	prio := PrioDemand
 	if prefetch || c.cfg.Background {
 		prio = PrioSwap
 	}
-	c.issueFetch(key, lk, prio)
+	c.fetchAt(key, prio, done)
 }
 
-func (c *MetaCache) issueFetch(key, lk uint64, prio Priority) {
-	t := c.getFetch()
-	t.lk = lk
-	c.issue(c.region.EntryAddr(key), false, prio, t.fn)
+// fetchAt parks done (if any) on key's line fetch, issuing the fetch at
+// prio unless one is already in flight.
+func (c *MetaCache) fetchAt(key uint64, prio Priority, done func()) {
+	lk := c.lineKey(key)
+	t := c.inflight(lk)
+	if t == nil {
+		t = c.getFetch()
+		t.lk, t.idx = lk, len(c.fetches)
+		c.fetches = append(c.fetches, t)
+		c.fetchKeys = append(c.fetchKeys, lk)
+		c.issue(c.region.EntryAddr(key), false, prio, t.fn)
+	}
+	if done != nil {
+		t.ws = append(t.ws, done)
+	}
 }
 
-// fetchDone installs the fetched line and wakes the parked accesses. The
-// fetchTxn is released before the callbacks so they can start new fetches.
+// fetchDone installs the fetched line and wakes the parked accesses in
+// arrival order. The fetch leaves the live list first, so a callback that
+// misses on the same line starts a fresh fetch; the record returns to the
+// pool after the last callback.
 func (c *MetaCache) fetchDone(t *fetchTxn) {
-	lk := t.lk
+	c.dropFetch(t)
+	c.fillLine(t.lk, true)
+	for i := 0; i < len(t.ws); i++ {
+		t.ws[i]()
+	}
 	c.putFetch(t)
-	// The fetched line carries every entry sharing it; install them all.
-	for k := lk * c.epl; k < (lk+1)*c.epl; k++ {
-		c.install(k)
-	}
-	ws := c.pending[lk]
-	delete(c.pending, lk)
-	for _, w := range ws {
-		w()
-	}
-	c.putWs(ws)
 }
 
-func (c *MetaCache) install(key uint64) {
-	if c.find(key) != nil {
-		return
-	}
-	set := c.sets[c.SetOf(key)]
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
+// fillLine installs every entry of line lk — a fetched line carries them
+// all — in key order. The entries' keys are consecutive, so their sets are
+// too: the set index is computed once and stepped with wrap-around. With
+// writeback set, a dirty victim is written back to the DRAM table (change-
+// bit behaviour: only dirty entries go back, Section III-C2); without it
+// (the functional path) the writeback is dropped.
+func (c *MetaCache) fillLine(lk uint64, writeback bool) {
+	k := lk * c.epl
+	s := k % c.nSets
+	for end := k + c.epl; k < end; k++ {
+		if l, hit := c.slot(s, k); !hit {
+			if writeback && l.dirty() {
+				c.stats.Writebacks++
+				c.issue(c.region.EntryAddr(l.key), true, PrioSwap, nil)
+			}
+			c.tick++
+			*l = metaLine{key: k, stamp: c.tick << 1}
 		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+		if s++; s == c.nSets {
+			s = 0
 		}
 	}
-	if victim.valid && victim.dirty {
-		// Write the evicted entry back to the DRAM table (change-bit
-		// behaviour: only dirty entries go back, Section III-C2).
-		c.stats.Writebacks++
-		c.issue(c.region.EntryAddr(victim.key), true, PrioSwap, nil)
-	}
-	c.tick++
-	*victim = metaLine{key: key, valid: true, lru: c.tick}
 }
 
 // AccessFunctional warms residency for key with no timing, no events, and
@@ -437,53 +464,24 @@ func (c *MetaCache) AccessFunctional(key uint64, dirty bool) {
 		c.touch(l, dirty)
 		return
 	}
-	lk := c.lineKey(key)
-	for k := lk * c.epl; k < (lk+1)*c.epl; k++ {
-		c.installFunctional(k)
-	}
+	c.fillLine(c.lineKey(key), false)
 	if l := c.find(key); l != nil {
 		c.touch(l, dirty)
 	}
 }
 
-// installFunctional is install without the writeback, in one pass over the
-// set: it looks key up and meanwhile picks install's victim (the first
-// invalid way, else the least recently used, earliest way on ties).
-func (c *MetaCache) installFunctional(key uint64) {
-	set := c.sets[c.SetOf(key)]
-	victim := &set[0]
-	invalid := false
-	for i := range set {
-		l := &set[i]
-		if !l.valid {
-			if !invalid {
-				victim, invalid = l, true
-			}
-			continue
-		}
-		if l.key == key {
-			return
-		}
-		if !invalid && l.lru < victim.lru {
-			victim = l
-		}
-	}
-	c.tick++
-	*victim = metaLine{key: key, valid: true, lru: c.tick}
-}
-
 // MarkDirty sets the dirty bit of a resident entry (no timing).
 func (c *MetaCache) MarkDirty(key uint64) {
 	if l := c.find(key); l != nil {
-		l.dirty = true
+		l.stamp |= 1
 	}
 }
 
 func (c *MetaCache) touch(l *metaLine, dirty bool) {
 	c.tick++
-	l.lru = c.tick
+	l.stamp = c.tick<<1 | l.stamp&1
 	if dirty {
-		l.dirty = true
+		l.stamp |= 1
 	}
 }
 
@@ -493,8 +491,8 @@ func (c *MetaCache) SetInjector(i *check.Injector) { c.inj = i }
 // Audit reports end-of-run invariant violations: a quiesced metadata cache
 // has no pending line fetches and every pooled record back on its free list.
 func (c *MetaCache) Audit(a *check.Audit) {
-	a.Checkf(len(c.pending) == 0,
-		"meta cache %s: %d line fetch(es) still pending at quiescence", c.cfg.Name, len(c.pending))
+	a.Checkf(len(c.fetches) == 0,
+		"meta cache %s: %d line fetch(es) still pending at quiescence", c.cfg.Name, len(c.fetches))
 	a.Checkf(c.liveTxn == 0,
 		"meta cache %s: %d pooled access record(s) never returned", c.cfg.Name, c.liveTxn)
 	a.Checkf(c.liveFetch == 0,

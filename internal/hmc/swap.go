@@ -2,7 +2,6 @@ package hmc
 
 import (
 	"fmt"
-	"sort"
 
 	"pageseer/internal/check"
 	"pageseer/internal/engine"
@@ -153,9 +152,10 @@ const (
 	lineBuffered
 )
 
-// opLine is one line of a running op. Records are pooled on the engine with
-// a pre-bound read-return continuation, so the per-line cost of a page swap
-// (64 lines each way at 4KB) stays off the allocator in steady state.
+// opLine is one source line of a running op. Records are pooled on the
+// engine with a pre-bound read-return continuation, so the per-line cost of
+// a page swap (64 lines each way at 4KB) stays off the allocator in steady
+// state; the waiter slice keeps its capacity across reuses.
 type opLine struct {
 	e      *SwapEngine
 	r      *runningOp
@@ -163,13 +163,26 @@ type opLine struct {
 	stage  int
 	src    mem.Addr
 	dst    mem.Addr // NoAddr if fill-only
-	readFn func()
-	next   *opLine
+	// disowned is set when an op started later that also reads src has
+	// completed: that op's completion ended interception of src, so demand
+	// accesses to it go to memory even while this op still runs.
+	disowned bool
+	waiters  []waiter // demand requests parked until the read returns
+	readFn   func()
+	next     *opLine
 }
 
-// runningOp is one in-flight swap operation. Pooled like opLine: the maps
-// and per-stage order slices keep their capacity across reuses, and the
-// single write-return continuation is shared by every line write of the op.
+// opSeg is one source segment of a running op: the lines [src, end) of a
+// transfer that reads, whose opLines are lines[first:] in address order.
+type opSeg struct {
+	src, end mem.Addr
+	first    int
+}
+
+// runningOp is one in-flight swap operation. Pooled like opLine: the
+// segment, line and per-stage order slices keep their capacity across
+// reuses, and the single write-return continuation is shared by every line
+// write of the op.
 type runningOp struct {
 	e          *SwapEngine
 	op         *Op
@@ -177,16 +190,27 @@ type runningOp struct {
 	stageBegan uint64
 	slot       int // trace track: op sequence % MaxOps
 	stage      int
-	lines      map[mem.Addr]*opLine // keyed by src line address, all stages
-	order      [][]mem.Addr         // read issue order per stage
+	segs       []opSeg
+	lines      []*opLine   // every source line: by stage, transfer, offset
+	order      [][]*opLine // read issue order per stage (sub-slices of lines)
 	nextRead   int
 	inflight   int
 	readsLeft  int    // current stage
 	writesLeft int    // current stage
 	nvmWrites  uint64 // line-writes issued to the NVM module (wear, pagemap)
-	waiters    map[mem.Addr][]waiter
+	waiting    int    // demand requests parked on the op's lines
 	writeFn    func()
 	next       *runningOp
+}
+
+// line returns the op's record of source line src, or nil.
+func (r *runningOp) line(src mem.Addr) *opLine {
+	for i := range r.segs {
+		if sg := &r.segs[i]; src >= sg.src && src < sg.end {
+			return r.lines[sg.first+int((src-sg.src)>>mem.LineShift)]
+		}
+	}
+	return nil
 }
 
 // waiter is one demand request parked on an in-flight swap line: its
@@ -207,15 +231,17 @@ type SwapEngine struct {
 	issue   IssueFunc
 	promote PromoteFunc
 
-	running map[*runningOp]struct{}
-	// lineOwner indexes running ops by src line for fast interception.
-	lineOwner map[mem.Addr]*runningOp
-	freeOp    *runningOp
-	freeLine  *opLine
-	freeWs    [][]waiter
-	liveOp    int // pooled op records checked out
-	liveLine  int // pooled line records checked out
-	stats     SwapEngineStats
+	// running holds the in-flight ops in start order (at most MaxOps).
+	running []*runningOp
+	// pages has bit p%256 set for every page p a running op reads from: a
+	// demand access to a page whose bit is clear involves no op, which
+	// spares the common case the segment scan.
+	pages    [4]uint64
+	freeOp   *runningOp
+	freeLine *opLine
+	liveOp   int // pooled op records checked out
+	liveLine int // pooled line records checked out
+	stats    SwapEngineStats
 
 	// inj (nil when off) forces buffer exhaustion and demand storms; set
 	// through Controller.SetInjector.
@@ -245,12 +271,10 @@ func NewSwapEngine(sim *engine.Sim, cfg SwapEngineConfig, issue IssueFunc, promo
 		promote = func(mem.Addr) {}
 	}
 	return &SwapEngine{
-		sim:       sim,
-		cfg:       cfg,
-		issue:     issue,
-		promote:   promote,
-		running:   make(map[*runningOp]struct{}),
-		lineOwner: make(map[mem.Addr]*runningOp),
+		sim:     sim,
+		cfg:     cfg,
+		issue:   issue,
+		promote: promote,
 	}
 }
 
@@ -258,11 +282,7 @@ func (e *SwapEngine) getOp() *runningOp {
 	e.liveOp++
 	r := e.freeOp
 	if r == nil {
-		r = &runningOp{
-			e:       e,
-			lines:   make(map[mem.Addr]*opLine),
-			waiters: make(map[mem.Addr][]waiter),
-		}
+		r = &runningOp{e: e}
 		r.writeFn = func() { r.e.writeDone(r) }
 		return r
 	}
@@ -274,9 +294,9 @@ func (e *SwapEngine) getOp() *runningOp {
 func (e *SwapEngine) putOp(r *runningOp) {
 	e.liveOp--
 	clear(r.lines)
-	for i := range r.order {
-		r.order[i] = r.order[i][:0]
-	}
+	r.lines = r.lines[:0]
+	clear(r.order)
+	r.segs = r.segs[:0]
 	r.op = nil
 	r.began, r.stageBegan = 0, 0
 	r.slot, r.stage = 0, 0
@@ -299,29 +319,12 @@ func (e *SwapEngine) getLine() *opLine {
 	return l
 }
 
-// getWs and putWs recycle demand-waiter slices (capacity persists across
-// buffer-wait episodes).
-func (e *SwapEngine) getWs() []waiter {
-	if n := len(e.freeWs); n > 0 {
-		ws := e.freeWs[n-1]
-		e.freeWs = e.freeWs[:n-1]
-		return ws
-	}
-	return make([]waiter, 0, 4)
-}
-
-func (e *SwapEngine) putWs(ws []waiter) {
-	for i := range ws {
-		ws[i] = waiter{}
-	}
-	e.freeWs = append(e.freeWs, ws[:0])
-}
-
 func (e *SwapEngine) putLine(l *opLine) {
 	e.liveLine--
 	l.r = nil
 	l.status = lineUnissued
 	l.stage, l.src, l.dst = 0, 0, 0
+	l.disowned = false
 	l.next = e.freeLine
 	e.freeLine = l
 }
@@ -350,7 +353,7 @@ func (e *SwapEngine) Start(op *Op) bool {
 	r.began = e.sim.Now()
 	r.stageBegan = e.sim.Now()
 	if cap(r.order) < len(op.Stages) {
-		r.order = make([][]mem.Addr, len(op.Stages))
+		r.order = make([][]*opLine, len(op.Stages))
 	} else {
 		r.order = r.order[:len(op.Stages)]
 	}
@@ -363,6 +366,7 @@ func (e *SwapEngine) Start(op *Op) bool {
 		}
 	}
 	for si, st := range op.Stages {
+		first := len(r.lines)
 		for _, tr := range st {
 			if tr.Bytes == 0 || tr.Bytes%mem.LineSize != 0 {
 				panic(fmt.Sprintf("hmc: transfer of %d bytes not line-aligned", tr.Bytes))
@@ -373,25 +377,29 @@ func (e *SwapEngine) Start(op *Op) bool {
 			if tr.Src == NoAddr {
 				continue // drain transfers handled at stage start
 			}
+			sg := opSeg{src: tr.Src, first: len(r.lines)}
+			sg.end = sg.src + mem.Addr(tr.Bytes)
+			for _, o := range r.segs {
+				if lo, hi := max(sg.src, o.src), min(sg.end, o.end); lo < hi {
+					panic(fmt.Sprintf("hmc: line %#x read twice in one op", uint64(lo)))
+				}
+			}
+			r.segs = append(r.segs, sg)
 			for off := uint64(0); off < tr.Bytes; off += mem.LineSize {
-				src := tr.Src + mem.Addr(off)
 				dst := NoAddr
 				if tr.Dst != NoAddr {
 					dst = tr.Dst + mem.Addr(off)
 				}
 				l := e.getLine()
 				l.r = r
-				l.stage, l.src, l.dst = si, src, dst
-				if _, dup := r.lines[src]; dup {
-					panic(fmt.Sprintf("hmc: line %#x read twice in one op", uint64(src)))
-				}
-				r.lines[src] = l
-				r.order[si] = append(r.order[si], src)
-				e.lineOwner[src] = r
+				l.stage, l.src, l.dst = si, sg.src+mem.Addr(off), dst
+				r.lines = append(r.lines, l)
 			}
 		}
+		r.order[si] = r.lines[first:len(r.lines):len(r.lines)]
 	}
-	e.running[r] = struct{}{}
+	e.running = append(e.running, r)
+	e.markPages(r)
 	e.stats.OpsStarted++
 	e.startStage(r)
 	if e.inj != nil {
@@ -404,7 +412,7 @@ func (e *SwapEngine) Start(op *Op) bool {
 // first-stage source lines of a just-started op, staggered a cycle apart so
 // they land across the buffered/issued/unissued states. Each touch goes
 // through TryService like a real post-translation demand access; a touch
-// that arrives after the op completed simply misses lineOwner and is a no-op.
+// that arrives after the op completed simply finds no op and is a no-op.
 func (e *SwapEngine) injectStorm(r *runningOp) {
 	n := e.inj.StormTouches()
 	if n == 0 || len(r.order) == 0 {
@@ -415,7 +423,7 @@ func (e *SwapEngine) injectStorm(r *runningOp) {
 		n = len(order)
 	}
 	for j := 0; j < n; j++ {
-		src := order[j]
+		src := order[j].src
 		e.sim.After(uint64(j)+1, func() { e.TryService(src, nil, stormSink) })
 	}
 }
@@ -451,9 +459,8 @@ func (e *SwapEngine) startStage(r *runningOp) {
 func (e *SwapEngine) pump(r *runningOp) {
 	order := r.order[r.stage]
 	for r.inflight < e.cfg.MaxInflightReads && r.nextRead < len(order) {
-		src := order[r.nextRead]
+		l := order[r.nextRead]
 		r.nextRead++
-		l := r.lines[src]
 		if l.status != lineUnissued {
 			continue // escalated earlier by a demand waiter
 		}
@@ -478,14 +485,15 @@ func (e *SwapEngine) readDone(l *opLine) {
 	// spent behind the swap's own transfer — swap interference by
 	// definition; the buffer latency that follows is charged by the
 	// completion stamp (CompSwapBuf).
-	if ws, ok := r.waiters[l.src]; ok {
-		delete(r.waiters, l.src)
+	if len(l.waiters) > 0 {
 		now := e.sim.Now()
-		for _, w := range ws {
+		for _, w := range l.waiters {
 			w.v.Take(attrib.CompSwapXfer, now)
 			e.sim.After(e.cfg.BufferLatency, w.fn)
 		}
-		e.putWs(ws)
+		r.waiting -= len(l.waiters)
+		clear(l.waiters)
+		l.waiters = l.waiters[:0]
 	}
 	if l.dst != NoAddr {
 		e.issueWrite(r, l.dst)
@@ -531,13 +539,7 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 	}
 	// Operation complete: expose the new mapping first (OnComplete updates
 	// the manager's remap state), then dismantle buffer interception.
-	delete(e.running, r)
-	for src, l := range r.lines {
-		if e.lineOwner[src] == r {
-			delete(e.lineOwner, src)
-		}
-		e.putLine(l)
-	}
+	e.retire(r)
 	e.stats.OpsCompleted++
 	e.stats.OpCycles += e.sim.Now() - r.began
 	if e.tracer != nil {
@@ -548,7 +550,7 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 		e.tracer.Complete("swap", label, obs.TracePidSwap, r.slot,
 			r.began, e.sim.Now(), "stages", uint64(len(r.op.Stages)))
 	}
-	if len(r.waiters) != 0 {
+	if r.waiting != 0 {
 		// Every waiter registers on a src line of some stage, and every
 		// stage's reads complete before the op does.
 		panic("hmc: swap op completed with demand waiters still pending")
@@ -576,32 +578,88 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 	}
 }
 
+// retire removes a completed op from the running list, ends its
+// interception, and returns its line records to the pool in start order.
+// Interception of a line two running ops read belongs to the newer one;
+// when that op completes, the line is no longer intercepted at all, so the
+// older ops' copies of it are disowned.
+func (e *SwapEngine) retire(r *runningOp) {
+	i := 0
+	for e.running[i] != r {
+		i++
+	}
+	for _, o := range e.running[:i] {
+		for _, sg := range r.segs {
+			for _, osg := range o.segs {
+				for a := max(sg.src, osg.src); a < min(sg.end, osg.end); a += mem.LineSize {
+					o.lines[osg.first+int((a-osg.src)>>mem.LineShift)].disowned = true
+				}
+			}
+		}
+	}
+	copy(e.running[i:], e.running[i+1:])
+	e.running[len(e.running)-1] = nil
+	e.running = e.running[:len(e.running)-1]
+	e.pages = [4]uint64{}
+	for _, o := range e.running {
+		e.markPages(o)
+	}
+	for _, l := range r.lines {
+		e.putLine(l)
+	}
+}
+
+// markPages sets the pages bits of every page r reads from.
+func (e *SwapEngine) markPages(r *runningOp) {
+	for _, sg := range r.segs {
+		for p := uint64(sg.src) >> mem.PageShift; p <= uint64(sg.end-1)>>mem.PageShift; p++ {
+			e.pages[p>>6&3] |= 1 << (p & 63)
+		}
+	}
+}
+
+// owner returns the opLine that intercepts line src, or nil: the record of
+// the newest running op reading src, unless it has been disowned.
+func (e *SwapEngine) owner(src mem.Addr) *opLine {
+	if p := uint64(src) >> mem.PageShift; e.pages[p>>6&3]&(1<<(p&63)) == 0 {
+		return nil
+	}
+	for i := len(e.running) - 1; i >= 0; i-- {
+		if l := e.running[i].line(src); l != nil {
+			if l.disowned {
+				return nil
+			}
+			return l
+		}
+	}
+	return nil
+}
+
 // TryService intercepts a demand access to line addr (post-translation). If
 // the line belongs to a page participating in a running swap, the request
 // is serviced from the swap buffers — immediately if the line has been read,
 // or as soon as its read returns — and TryService reports true. done runs
 // when the data is available.
 func (e *SwapEngine) TryService(addr mem.Addr, v *attrib.Vector, done func()) bool {
-	src := mem.LineOf(addr)
-	r, ok := e.lineOwner[src]
-	if !ok {
+	l := e.owner(mem.LineOf(addr))
+	if l == nil {
 		return false
 	}
-	l := r.lines[src]
+	r, src := l.r, l.src
 	switch l.status {
 	case lineBuffered:
 		e.stats.BufHits++
 		e.sim.After(e.cfg.BufferLatency, done)
 	case lineIssued:
 		e.stats.BufWaits++
-		e.addWaiter(r, src, v, done)
+		e.addWaiter(l, v, done)
 		// Requested-line-first: the read is already in a channel queue at
 		// background priority; promote it (Section III-D1).
 		e.stats.EscalatedRead++
 		e.promote(src)
 	case lineUnissued:
 		e.stats.BufWaits++
-		e.addWaiter(r, src, v, done)
+		e.addWaiter(l, v, done)
 		if l.stage == r.stage {
 			// Requested-line-first: promote this read past the queue and
 			// issue it at demand priority (Section III-D1).
@@ -612,18 +670,14 @@ func (e *SwapEngine) TryService(addr mem.Addr, v *attrib.Vector, done func()) bo
 	return true
 }
 
-func (e *SwapEngine) addWaiter(r *runningOp, src mem.Addr, v *attrib.Vector, done func()) {
-	ws, ok := r.waiters[src]
-	if !ok {
-		ws = e.getWs()
-	}
-	r.waiters[src] = append(ws, waiter{fn: done, v: v})
+func (e *SwapEngine) addWaiter(l *opLine, v *attrib.Vector, done func()) {
+	l.waiters = append(l.waiters, waiter{fn: done, v: v})
+	l.r.waiting++
 }
 
 // Involved reports whether addr's line belongs to a running swap (tests).
 func (e *SwapEngine) Involved(addr mem.Addr) bool {
-	_, ok := e.lineOwner[mem.LineOf(addr)]
-	return ok
+	return e.owner(mem.LineOf(addr)) != nil
 }
 
 // Audit reports end-of-run invariant violations: a quiesced engine has no
@@ -633,8 +687,6 @@ func (e *SwapEngine) Involved(addr mem.Addr) bool {
 func (e *SwapEngine) Audit(a *check.Audit) {
 	a.Checkf(len(e.running) == 0,
 		"swap engine: %d op(s) still running at quiescence", len(e.running))
-	a.Checkf(len(e.lineOwner) == 0,
-		"swap engine: %d line(s) still intercepted with no running op", len(e.lineOwner))
 	a.Checkf(e.liveOp == 0,
 		"swap engine: %d pooled op record(s) never returned", e.liveOp)
 	a.Checkf(e.liveLine == 0,
@@ -643,15 +695,11 @@ func (e *SwapEngine) Audit(a *check.Audit) {
 		"swap engine: %d op(s) started but %d completed", e.stats.OpsStarted, e.stats.OpsCompleted)
 }
 
-// DescribeRunning renders every in-flight op for a crashdump, sorted so the
-// output is deterministic despite map iteration.
+// DescribeRunning renders every in-flight op for a crashdump, in start
+// order.
 func (e *SwapEngine) DescribeRunning() []string {
 	out := make([]string, 0, len(e.running))
-	for r := range e.running {
-		waiters := 0
-		for _, ws := range r.waiters {
-			waiters += len(ws)
-		}
+	for _, r := range e.running {
 		label := r.op.Label
 		if label == "" {
 			label = "swap"
@@ -659,9 +707,8 @@ func (e *SwapEngine) DescribeRunning() []string {
 		out = append(out, fmt.Sprintf(
 			"op %q tag=%d began=%d stage=%d/%d readsLeft=%d writesLeft=%d inflight=%d waiters=%d",
 			label, r.op.Tag, r.began, r.stage+1, len(r.op.Stages),
-			r.readsLeft, r.writesLeft, r.inflight, waiters))
+			r.readsLeft, r.writesLeft, r.inflight, r.waiting))
 	}
-	sort.Strings(out)
 	return out
 }
 

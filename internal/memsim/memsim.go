@@ -263,7 +263,10 @@ type channel struct {
 	head, tail *request
 	queued     int
 	count      [numCls]int // queued requests per class
-	seq        uint64      // next enqueue sequence number
+	// occ[k] has bit b set exactly when bank b's class-k list is non-empty
+	// (64 banks per word), so the scheduler visits only banks with work.
+	occ [numCls][]uint64
+	seq uint64 // next enqueue sequence number
 	// wakeAt is the cycle of the earliest pending scheduler wakeup
 	// (0 = none).
 	wakeAt uint64
@@ -369,6 +372,9 @@ func New(sim *engine.Sim, cfg Config, base mem.Addr, size uint64) *Module {
 	for i := range m.chans {
 		ch := i
 		m.chans[i].banks = make([]bank, m.banksPerChannel)
+		for k := range m.chans[i].occ {
+			m.chans[i].occ[k] = make([]uint64, (m.banksPerChannel+63)/64)
+		}
 		for b := range m.chans[i].banks {
 			bk := &m.chans[i].banks[b]
 			bk.openRow = -1
@@ -578,7 +584,23 @@ func (m *Module) enqueue(c *channel, r *request) {
 		r.cls = clsFresh
 	}
 	c.count[r.cls]++
+	c.push(r)
+}
+
+// push appends r to its bank's class list and marks the list non-empty.
+func (c *channel) push(r *request) {
 	c.banks[r.bank].lists[r.cls].pushBack(r)
+	c.occ[r.cls][r.bank>>6] |= 1 << (r.bank & 63)
+}
+
+// unlink removes r from its bank's class list, clearing the list's
+// occupancy bit when it empties.
+func (c *channel) unlink(r *request) {
+	l := &c.banks[r.bank].lists[r.cls]
+	l.unlink(r)
+	if l.head == nil {
+		c.occ[r.cls][r.bank>>6] &^= 1 << (r.bank & 63)
+	}
 }
 
 // dequeue removes a committed request from the channel queue and its list.
@@ -596,7 +618,7 @@ func (m *Module) dequeue(c *channel, r *request) {
 	r.prev, r.next = nil, nil
 	c.queued--
 	c.count[r.cls]--
-	c.banks[r.bank].lists[r.cls].unlink(r)
+	c.unlink(r)
 }
 
 // starts returns the earliest cycle a data burst from bank bk could start,
@@ -632,15 +654,16 @@ func (m *Module) age(c *channel, now uint64) {
 	if limit == 0 || c.count[clsFresh] == 0 {
 		return
 	}
-	for b := range c.banks {
-		bk := &c.banks[b]
-		fresh := &bk.lists[clsFresh]
-		for r := fresh.head; r != nil && now-r.arrival > limit; r = fresh.head {
-			fresh.unlink(r)
-			r.cls = clsAged
-			bk.lists[clsAged].pushBack(r)
-			c.count[clsFresh]--
-			c.count[clsAged]++
+	for wi, w := range c.occ[clsFresh] {
+		for ; w != 0; w &= w - 1 {
+			fresh := &c.banks[wi<<6+bits.TrailingZeros64(w)].lists[clsFresh]
+			for r := fresh.head; r != nil && now-r.arrival > limit; r = fresh.head {
+				c.unlink(r)
+				r.cls = clsAged
+				c.push(r)
+				c.count[clsFresh]--
+				c.count[clsAged]++
+			}
 		}
 	}
 }
@@ -655,7 +678,8 @@ func (m *Module) age(c *channel, now uint64) {
 // Only per-bank candidates are evaluated: within one bank and class, every
 // row hit starts at one cycle and every other request at a later-or-equal
 // one, so the winner is the class list's head or its oldest row hit. The
-// cost is O(banks), not O(queue).
+// cost is O(banks) — only the banks the class's occupancy mask marks —
+// not O(queue).
 func (m *Module) pick(c *channel, now uint64) (*request, uint64) {
 	oldest := c.head
 	if oldest.bypass >= m.cfg.MaxBypass {
@@ -698,24 +722,23 @@ func (m *Module) pick(c *channel, now uint64) (*request, uint64) {
 	}
 	var best *request
 	var bestStart uint64
-	for b := range c.banks {
-		bk := &c.banks[b]
-		l := &bk.lists[cls]
-		h := l.head
-		if h == nil {
-			continue
-		}
-		hit, miss := m.starts(c, bk, now)
-		s := miss
-		if h.row == bk.openRow {
-			s = hit
-		}
-		if best == nil || s < bestStart || (s == bestStart && h.older(best)) {
-			best, bestStart = h, s
-		}
-		if hr := l.hitFor(bk.openRow); hr != nil && hr != h &&
-			(hit < bestStart || (hit == bestStart && hr.older(best))) {
-			best, bestStart = hr, hit
+	for wi, w := range c.occ[cls] {
+		for ; w != 0; w &= w - 1 {
+			bk := &c.banks[wi<<6+bits.TrailingZeros64(w)]
+			l := &bk.lists[cls]
+			h := l.head
+			hit, miss := m.starts(c, bk, now)
+			s := miss
+			if h.row == bk.openRow {
+				s = hit
+			}
+			if best == nil || s < bestStart || (s == bestStart && h.older(best)) {
+				best, bestStart = h, s
+			}
+			if hr := l.hitFor(bk.openRow); hr != nil && hr != h &&
+				(hit < bestStart || (hit == bestStart && hr.older(best))) {
+				best, bestStart = hr, hit
+			}
 		}
 	}
 	return best, bestStart
@@ -835,9 +858,10 @@ func (m *Module) Promote(addr mem.Addr) {
 		for r := l.head; r != nil; {
 			next := r.bnext
 			if r.addr == line {
-				l.unlink(r)
+				c.unlink(r)
 				r.prio, r.cls = PrioDemand, clsDemand
 				bk.lists[clsDemand].insert(r)
+				c.occ[clsDemand][b>>6] |= 1 << (b & 63)
 				c.count[k]--
 				c.count[clsDemand]++
 			}

@@ -171,7 +171,8 @@ func refFeasible(m *Module, c *channel, r *request, now uint64) uint64 {
 // on the channel queue and on exactly its decoded bank's list for its
 // class, every list is in arrival order with consistent back links, the
 // counts match, aged requests really are aged and precede the bank's fresh
-// ones, and every set row-hit cache names the oldest matching request.
+// ones, every set row-hit cache names the oldest matching request, and
+// each class's bank mask marks exactly the banks whose list is non-empty.
 func checkQueues(tb testing.TB, m *Module) {
 	tb.Helper()
 	now := m.sim.Now()
@@ -232,6 +233,9 @@ func checkQueues(tb testing.TB, m *Module) {
 				if l.hitRow != staleRow && l.hit != firstHitReq {
 					tb.Fatalf("ch%d bank%d class%d: row-hit cache for row %d is stale", ci, b, k, l.hitRow)
 				}
+				if occupied := c.occ[k][b/64]&(1<<(b%64)) != 0; occupied != (l.head != nil) {
+					tb.Fatalf("ch%d bank%d class%d: occupancy bit %v, list empty %v", ci, b, k, occupied, l.head == nil)
+				}
 			}
 			if a, f := bk.lists[clsAged].tail, bk.lists[clsFresh].head; a != nil && f != nil && !a.older(f) {
 				tb.Fatalf("ch%d bank%d: aged request younger than a fresh one", ci, b)
@@ -249,17 +253,22 @@ type schedCoverage struct {
 }
 
 // schedModule builds the module for stream selector sel: the paper's DRAM
-// (4 channels x 8 banks), its NVM (2 x 16), or a one-channel DRAM whose
-// single queue gets deep.
+// (4 channels x 8 banks), its NVM (2 x 16), a one-channel DRAM whose
+// single queue gets deep, or a one-channel part with 2 ranks of 40 banks,
+// whose bank masks span two words.
 func schedModule(sim *engine.Sim, sel uint8) *Module {
-	switch sel % 3 {
+	switch sel % 4 {
 	case 0:
 		return New(sim, DRAMConfig(), 0, 512<<20)
 	case 1:
 		return New(sim, NVMConfig(), 512<<20, 4<<30)
-	default:
+	case 2:
 		cfg := DRAMConfig()
 		cfg.Channels = 1
+		return New(sim, cfg, 0, 256<<20)
+	default:
+		cfg := DRAMConfig()
+		cfg.Channels, cfg.RanksPerChannel, cfg.BanksPerRank = 1, 2, 40
 		return New(sim, cfg, 0, 256<<20)
 	}
 }
@@ -363,13 +372,13 @@ func runSchedStream(tb testing.TB, seed int64, sel uint8) schedCoverage {
 }
 
 // TestPickMatchesLinearReference checks, before every commit of many
-// randomized streams on the DRAM, the NVM and a one-channel part, that the
+// randomized streams on the DRAM, the NVM and two one-channel parts, that the
 // bank-head scheduler chooses the same request and start cycle as the
 // linear reference scan, and that every scheduler path was exercised.
 func TestPickMatchesLinearReference(t *testing.T) {
 	var total schedCoverage
 	for seed := int64(1); seed <= 30; seed++ {
-		for sel := uint8(0); sel < 3; sel++ {
+		for sel := uint8(0); sel < 4; sel++ {
 			cov := runSchedStream(t, seed, sel)
 			total.commits += cov.commits
 			total.forced += cov.forced
@@ -388,7 +397,7 @@ func TestPickMatchesLinearReference(t *testing.T) {
 // reference disagree (make fuzz-scheduler).
 func FuzzScheduler(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
-		for sel := uint8(0); sel < 3; sel++ {
+		for sel := uint8(0); sel < 4; sel++ {
 			f.Add(seed, sel)
 		}
 	}

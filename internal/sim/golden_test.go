@@ -44,7 +44,9 @@ func goldenConfig(scheme Scheme, wl string, instr, warmup uint64) Config {
 // goldenRuns load the memory scheduler the way the benchmark workloads do:
 // a scattered, write-heavy NVM stream (radix), the Figure 14 scheme
 // comparison (GemsFDTD), and a sampled run whose windows start from
-// fast-forwarded state (mcf).
+// fast-forwarded state (mcf). The radix runs of CAMEO, PoM and MemPod drive
+// the metadata cache under heavy miss traffic; static and PageSeer-NoCorr
+// cover the remaining managers.
 var goldenRuns = []goldenRun{
 	{"radix/pageseer", func() Config { return goldenConfig(SchemePageSeer, "radix", 200_000, 100_000) }},
 	{"GemsFDTD/pageseer", func() Config { return goldenConfig(SchemePageSeer, "GemsFDTD", 120_000, 60_000) }},
@@ -55,6 +57,11 @@ var goldenRuns = []goldenRun{
 		cfg.Sample, cfg.SampleWindow, cfg.SampleWarmup = 16, 1000, 1000
 		return cfg
 	}},
+	{"radix/cameo", func() Config { return goldenConfig(SchemeCAMEO, "radix", 200_000, 100_000) }},
+	{"radix/pom", func() Config { return goldenConfig(SchemePoM, "radix", 200_000, 100_000) }},
+	{"radix/mempod", func() Config { return goldenConfig(SchemeMemPod, "radix", 200_000, 100_000) }},
+	{"GemsFDTD/static", func() Config { return goldenConfig(SchemeStatic, "GemsFDTD", 120_000, 60_000) }},
+	{"GemsFDTD/pageseer-nocorr", func() Config { return goldenConfig(SchemePageSeerNoCorr, "GemsFDTD", 120_000, 60_000) }},
 }
 
 // goldenEntry is one run's committed record: the digest the test gates on,

@@ -5,7 +5,9 @@
 // "Eager" — an aggressive CAMEO-flavoured policy that swaps an NVM page to
 // DRAM on its very first miss (no history, no thresholds). It demonstrates
 // the full extension surface: remap state, the swap engine with its
-// buffers, the integrity oracle, and DMA freezing. The result also shows
+// buffers (started through Controller.StartSwap, so the swap-provenance
+// ledger, the pagemap and the trace see every swap), the integrity oracle,
+// and DMA freezing. The result also shows
 // *why* the paper needs history: eager swapping wins when reuse is long,
 // and drowns in its own traffic when it is not.
 package main
@@ -18,6 +20,7 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
+	"pageseer/internal/obs/ledger"
 	"pageseer/internal/sim"
 )
 
@@ -134,7 +137,8 @@ func (e *Eager) trySwap(page mem.PPN) {
 			}
 		},
 	}
-	if !e.ctl.Engine.Start(op) {
+	meta := hmc.SwapMeta{Page: page.Addr(), Victim: victim.Addr(), Trigger: ledger.TrigRegular, Req: e.ctl.Sim.Now()}
+	if !e.ctl.StartSwap(op, meta) {
 		delete(e.inflight, page)
 		delete(e.inflight, victim)
 	}

@@ -19,7 +19,6 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
-	"pageseer/internal/obs/ledger"
 )
 
 // BlockBytes is CAMEO's migration granularity: one cache line.
@@ -86,20 +85,9 @@ type CAMEO struct {
 	region     hmc.MetaRegion
 
 	fastBlocks blk
-
-	// location[b] = slot currently holding block b's data;
-	// occupant[slot] = block whose data the slot holds. Identity if absent.
-	location map[blk]blk
-	occupant map[blk]blk
-	inflight map[blk]*job
+	slots      *hmc.SlotRemap[blk]
 
 	stats Stats
-}
-
-type job struct {
-	waiters []func()
-	lid     uint64 // swap-provenance record ID (0 when the ledger is off)
-	pid     uint64 // pagemap pending-swap handle (0 when the pagemap is off)
 }
 
 // New installs a CAMEO manager on the controller.
@@ -109,11 +97,9 @@ func New(ctl *hmc.Controller, cfg Config) *CAMEO {
 		ctl:        ctl,
 		cfg:        cfg,
 		fastBlocks: blk(ctl.Layout.DRAMBytes / BlockBytes),
-		location:   make(map[blk]blk),
-		occupant:   make(map[blk]blk),
-		inflight:   make(map[blk]*job),
 	}
 	c.region = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
+	c.slots = hmc.NewSlotRemap(ctl, BlockBytes, c.region, c.committed)
 	c.remapCache = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
 		Name: "CAMEORemap", Entries: cfg.RemapEntries, Ways: cfg.RemapWays,
 		HitLatency: cfg.RemapLatency, EntriesPerLine: 16,
@@ -132,7 +118,6 @@ func (c *CAMEO) Stats() Stats { return c.stats }
 func (c *CAMEO) RemapCache() *hmc.MetaCache { return c.remapCache }
 
 func blockOf(a mem.Addr) blk { return blk(a >> mem.LineShift) }
-func (b blk) base() mem.Addr { return mem.Addr(b) << mem.LineShift }
 
 // group returns a block's swap group (== its fast-block index).
 func (c *CAMEO) group(b blk) blk {
@@ -142,31 +127,12 @@ func (c *CAMEO) group(b blk) blk {
 	return (b - c.fastBlocks) % c.fastBlocks
 }
 
-func (c *CAMEO) locate(b blk) blk {
-	if l, ok := c.location[b]; ok {
-		return l
-	}
-	return b
-}
-
-func (c *CAMEO) occupantOf(slot blk) blk {
-	if o, ok := c.occupant[slot]; ok {
-		return o
-	}
-	return slot
-}
-
 // TranslateLine implements hmc.Manager.
-func (c *CAMEO) TranslateLine(addr mem.Addr) mem.Addr {
-	b := blockOf(addr)
-	return c.locate(b).base() + (addr - b.base())
-}
+func (c *CAMEO) TranslateLine(addr mem.Addr) mem.Addr { return c.slots.TranslateLine(addr) }
 
 // CheckIntegrity implements hmc.Manager.
 func (c *CAMEO) CheckIntegrity() error {
-	if err := c.ctl.Oracle.VerifyAll(func(d uint64) uint64 {
-		return uint64(c.locate(blk(d)))
-	}); err != nil {
+	if err := c.slots.Verify(); err != nil {
 		return fmt.Errorf("cameo: %w", err)
 	}
 	return nil
@@ -177,7 +143,7 @@ func (c *CAMEO) CheckIntegrity() error {
 // fast swap with the group's fast slot.
 func (c *CAMEO) HandleRequest(r *hmc.Request) {
 	b := blockOf(r.Line)
-	if !r.Meta.Writeback && !r.Meta.PageWalk && c.locate(b) >= c.fastBlocks {
+	if !r.Meta.Writeback && !r.Meta.PageWalk && c.slots.Locate(b) >= c.fastBlocks {
 		c.trySwap(b)
 	}
 	c.remapCache.AccessV(uint64(c.group(b)), false, r.Meta.V, r.RouteFn())
@@ -186,127 +152,25 @@ func (c *CAMEO) HandleRequest(r *hmc.Request) {
 // trySwap performs CAMEO's fast swap: block b exchanges with whatever
 // occupies its group's fast slot.
 func (c *CAMEO) trySwap(b blk) {
-	fastSlot := c.group(b)
-	slowSlot := c.locate(b)
-	if slowSlot == fastSlot {
-		return
-	}
-	if c.inflight[fastSlot] != nil || c.inflight[slowSlot] != nil {
+	switch c.slots.TryExchange(b, c.group(b)) {
+	case hmc.ExchangeBlocked:
 		c.stats.SwapsBlocked++
-		return
-	}
-	displaced := c.occupantOf(fastSlot)
-	if c.frozen(b) || c.frozen(displaced) || c.pinnedSlot(fastSlot) {
-		c.stats.SwapsBlocked++
-		return
-	}
-	op := &hmc.Op{
-		Stages: []hmc.Stage{{
-			{Src: slowSlot.base(), Dst: fastSlot.base(), Bytes: BlockBytes},
-			{Src: fastSlot.base(), Dst: slowSlot.base(), Bytes: BlockBytes},
-		}},
-	}
-	j := &job{}
-	op.OnComplete = func() {
-		c.setOccupant(fastSlot, b)
-		c.setOccupant(slowSlot, displaced)
-		c.ctl.Oracle.Exchange(uint64(fastSlot), uint64(slowSlot))
-		c.ctl.IssueLine(c.region.EntryAddr(uint64(fastSlot)), true, hmc.PrioSwap, nil)
-		if led := c.ctl.Ledger(); led != nil {
-			now := c.sim.Now()
-			led.RemapCommitted(j.lid, now)
-			led.Evicted(uint64(displaced.base()), now)
-		}
-		if pm := c.ctl.PageMap(); pm != nil {
-			now := c.sim.Now()
-			pm.Committed(j.pid, now)
-			pm.Evicted(uint64(displaced.base()), now)
-		}
-		c.stats.Swaps++
-		delete(c.inflight, fastSlot)
-		delete(c.inflight, slowSlot)
-		for _, w := range j.waiters {
-			w()
-		}
-	}
-	led := c.ctl.Ledger()
-	if led != nil {
-		now := c.sim.Now()
-		dramB, nvmB := c.ctl.OpBytes(op)
-		j.lid = led.SwapStarted(uint64(b.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, now, now, dramB, nvmB)
-		op.LedgerID = j.lid
-	}
-	if pm := c.ctl.PageMap(); pm != nil {
-		j.pid = pm.SwapStarted(uint64(b.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, c.sim.Now())
-		op.PageMapID = j.pid
-	}
-	if !c.ctl.Engine.Start(op) {
+	case hmc.ExchangeRefused:
 		// Swap-on-every-access floods the buffers; CAMEO just retries on
 		// the next access (the block stays slow meanwhile).
-		led.Abort(j.lid)
-		c.ctl.PageMap().Abort(j.pid)
 		c.stats.SwapsDropped++
-		return
 	}
-	c.inflight[fastSlot] = j
-	c.inflight[slowSlot] = j
 }
 
-func (c *CAMEO) setOccupant(slot, data blk) {
-	if slot == data {
-		delete(c.occupant, slot)
-		delete(c.location, data)
-		return
-	}
-	c.occupant[slot] = data
-	c.location[data] = slot
-}
-
-func (c *CAMEO) frozen(b blk) bool {
-	return c.ctl.FrozenByDMA(mem.PageOf(b.base()))
-}
-
-func (c *CAMEO) pinnedSlot(slot blk) bool {
-	a := slot.base()
-	if a >= c.region.Base && uint64(a-c.region.Base) < c.region.Bytes {
-		return true
-	}
-	return c.ctl.OS.IsPageTable(mem.PageOf(a))
-}
+// committed is CAMEO's post-commit step: count the swap.
+func (c *CAMEO) committed(_, _ blk) { c.stats.Swaps++ }
 
 // MMUHint implements hmc.Manager: CAMEO has no MMU connection.
 func (c *CAMEO) MMUHint(mmu.Hint) {}
 
 // FreezePage implements hmc.Manager: wait out in-flight swaps of the page's
 // blocks.
-func (c *CAMEO) FreezePage(page mem.PPN, done func()) {
-	base := blockOf(page.Addr())
-	waitFor := map[*job]struct{}{}
-	for i := 0; i < mem.LinesPerPage; i++ {
-		b := base + blk(i)
-		if j, ok := c.inflight[c.locate(b)]; ok {
-			waitFor[j] = struct{}{}
-		}
-		if j, ok := c.inflight[b]; ok {
-			waitFor[j] = struct{}{}
-		}
-	}
-	if len(waitFor) == 0 {
-		done()
-		return
-	}
-	remaining := len(waitFor)
-	for j := range waitFor {
-		j.waiters = append(j.waiters, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
-	}
-}
+func (c *CAMEO) FreezePage(page mem.PPN, done func()) { c.slots.FreezePage(page, done) }
 
 // UnfreezePage implements hmc.Manager.
 func (c *CAMEO) UnfreezePage(mem.PPN) {}

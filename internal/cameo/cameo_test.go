@@ -12,6 +12,8 @@ import (
 	"pageseer/internal/memsim"
 )
 
+func (b blk) base() mem.Addr { return mem.Addr(b) << mem.LineShift }
+
 func testRig() (*engine.Sim, *hmc.Controller, *CAMEO) {
 	sim := engine.New()
 	osm := mem.NewOS(mem.Map{DRAMBytes: 2 << 20, NVMBytes: 16 << 20}, 16)
@@ -56,14 +58,14 @@ func TestGroupConflictEvictsPrevious(t *testing.T) {
 	sim.Drain(0)
 	ctl.Access(b2.base(), false, cache.Meta{PID: 1}, nil)
 	sim.Drain(0)
-	if c.locate(b2) != g {
-		t.Fatalf("b2 not in fast slot: %d", c.locate(b2))
+	if c.slots.Locate(b2) != g {
+		t.Fatalf("b2 not in fast slot: %d", c.slots.Locate(b2))
 	}
-	if c.locate(b1) == g {
+	if c.slots.Locate(b1) == g {
 		t.Fatal("both slow blocks claim the fast slot")
 	}
-	if c.locate(b1) != b2 {
-		t.Fatalf("fast swap should strand b1 at b2's home; b1 is at %d", c.locate(b1))
+	if c.slots.Locate(b1) != b2 {
+		t.Fatalf("fast swap should strand b1 at b2's home; b1 is at %d", c.slots.Locate(b1))
 	}
 	if err := ctl.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
@@ -86,7 +88,7 @@ func TestPinnedFastSlotBlocked(t *testing.T) {
 	b := fast // slow block of group 0
 	ctl.Access(b.base(), false, cache.Meta{PID: 1}, nil)
 	sim.Drain(0)
-	if c.locate(b) == 0 {
+	if c.slots.Locate(b) == 0 {
 		t.Fatal("block swapped into pinned metadata slot")
 	}
 	if c.Stats().SwapsBlocked == 0 {

@@ -2,43 +2,22 @@ package cameo
 
 import (
 	"fmt"
-	"sort"
 
 	"pageseer/internal/ckpt"
 )
-
-func sortedBlks[V any](m map[blk]V) []blk {
-	keys := make([]blk, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
 
 // Snapshot serializes CAMEO's warm state: the block remap (both directions),
 // the remap-cache residency, and the statistics. It refuses a non-quiesced
 // manager (in-flight swaps).
 func (c *CAMEO) Snapshot(w *ckpt.Writer) error {
-	if len(c.inflight) != 0 {
-		return fmt.Errorf("cameo: %d swap(s) in flight; snapshot requires quiescence", len(c.inflight))
+	if n := c.slots.InFlight(); n != 0 {
+		return fmt.Errorf("cameo: %d swap(s) in flight; snapshot requires quiescence", n)
 	}
 	w.Section("cameo")
 	if err := c.remapCache.Snapshot(w); err != nil {
 		return err
 	}
-	loc := sortedBlks(c.location)
-	w.Int(len(loc))
-	for _, b := range loc {
-		w.U64(uint64(b))
-		w.U64(uint64(c.location[b]))
-	}
-	occ := sortedBlks(c.occupant)
-	w.Int(len(occ))
-	for _, b := range occ {
-		w.U64(uint64(b))
-		w.U64(uint64(c.occupant[b]))
-	}
+	c.slots.Snapshot(w)
 	w.U64(c.stats.Swaps)
 	w.U64(c.stats.SwapsDropped)
 	w.U64(c.stats.SwapsBlocked)
@@ -50,16 +29,7 @@ func (c *CAMEO) Snapshot(w *ckpt.Writer) error {
 func (c *CAMEO) Restore(r *ckpt.Reader) {
 	r.Section("cameo")
 	c.remapCache.Restore(r)
-	c.location = make(map[blk]blk)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		b := blk(r.U64())
-		c.location[b] = blk(r.U64())
-	}
-	c.occupant = make(map[blk]blk)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		b := blk(r.U64())
-		c.occupant[b] = blk(r.U64())
-	}
+	c.slots.Restore(r)
 	c.stats.Swaps = r.U64()
 	c.stats.SwapsDropped = r.U64()
 	c.stats.SwapsBlocked = r.U64()

@@ -83,8 +83,6 @@ type swapJob struct {
 	kind    SwapKind
 	pages   []mem.PPN // every page identity participating
 	waiters []func()  // DMA freeze waiting for completion
-	lid     uint64    // swap-provenance record ID (0 when the ledger is off)
-	pid     uint64    // pagemap pending-swap handle (0 when the pagemap is off)
 }
 
 // swapTrigger maps the paper's SwapKind (plus the follower flag, which the
@@ -323,11 +321,6 @@ func (p *PageSeer) issueLineDemand(line mem.Addr, done func()) {
 }
 
 const maxPendingSwaps = 1024
-
-// traceQueueTid is the trace track (under the swap-engine process) that
-// carries Swap Driver queueing events: request instants, queue-wait spans,
-// and remap commits. Transfer spans live on tids 0..MaxOps-1.
-const traceQueueTid = 99
 
 // pendingStaleCycles expires queued swap requests: converting a page whose
 // flurry has already ended wastes swap bandwidth that a fresh request could
@@ -626,7 +619,7 @@ func (p *PageSeer) requestSwapFrom(page mem.PPN, kind SwapKind, follower bool) b
 		return false
 	}
 	if t := p.ctl.Tracer(); t != nil {
-		t.Instant("swap", "request:"+kind.String(), obs.TracePidSwap, traceQueueTid,
+		t.Instant("swap", "request:"+kind.String(), obs.TracePidSwap, hmc.TraceQueueTid,
 			p.sim.Now(), "page", uint64(page))
 	}
 	if p.cfg.BWOpt && p.dramSaturated() {
@@ -675,7 +668,7 @@ func (p *PageSeer) popPending() (pendingSwap, bool) {
 			}
 			if t := p.ctl.Tracer(); t != nil && now > e.at {
 				t.Complete("swap", "queued:"+e.kind.String(), obs.TracePidSwap,
-					traceQueueTid, e.at, now, "page", uint64(e.page))
+					hmc.TraceQueueTid, e.at, now, "page", uint64(e.page))
 			}
 			return e, true
 		}
@@ -837,33 +830,16 @@ func (p *PageSeer) startSwap(page mem.PPN, kind SwapKind, follower bool, req uin
 	}
 	p.bindHintFlow(op, page, kind)
 	op.OnComplete = func() { p.completeSwap(page, frame, partner, hasPartner, job) }
-	led := p.ctl.Ledger()
-	if led != nil {
-		// The victim identity is the data that will leave DRAM: the frame's
-		// own page on a plain exchange, the partner on an optimized slow
-		// swap (the frame's data already sits in NVM at the partner's slot).
-		victim := frame
-		if hasPartner {
-			victim = partner
-		}
-		dramB, nvmB := p.ctl.OpBytes(op)
-		job.lid = led.SwapStarted(uint64(page.Addr()), uint64(victim.Addr()), true,
-			swapTrigger(kind, follower), req, p.sim.Now(), dramB, nvmB)
-		op.LedgerID = job.lid
+	// The victim is the data that will leave DRAM: the frame's own page on
+	// a plain exchange, the partner on an optimized slow swap (the frame's
+	// data already sits in NVM at the partner's slot).
+	victim := frame
+	if hasPartner {
+		victim = partner
 	}
-	if pm := p.ctl.PageMap(); pm != nil {
-		victim := frame
-		if hasPartner {
-			victim = partner
-		}
-		job.pid = pm.SwapStarted(uint64(page.Addr()), uint64(victim.Addr()), true,
-			swapTrigger(kind, follower), p.sim.Now())
-		op.PageMapID = job.pid
-	}
-	if !p.ctl.Engine.Start(op) {
+	if !p.ctl.StartSwap(op, hmc.SwapMeta{Page: page.Addr(), Victim: victim.Addr(),
+		Trigger: swapTrigger(kind, follower), Req: req}) {
 		// Raced with another start; requeue.
-		led.Abort(job.lid)
-		p.ctl.PageMap().Abort(job.pid)
 		p.enqueue(page, kind, follower)
 		return
 	}
@@ -899,17 +875,6 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 			p.finalizeTrack(nPartner) // it just left DRAM
 			p.hptNVM.Remove(dPage)
 			p.ctl.IssueLine(p.prtRegion.EntryAddr(uint64(dPage)), true, hmc.PrioSwap, nil)
-			p.traceRemapCommit(dPage)
-			if led := p.ctl.Ledger(); led != nil {
-				now := p.sim.Now()
-				led.RemapCommitted(job.lid, now)
-				led.Evicted(uint64(nPartner.Addr()), now)
-			}
-			if pm := p.ctl.PageMap(); pm != nil {
-				now := p.sim.Now()
-				pm.Committed(job.pid, now)
-				pm.Evicted(uint64(nPartner.Addr()), now)
-			}
 			p.stats.SwapsCompleted[job.kind]++
 			for _, pg := range job.pages {
 				delete(p.inflight, pg)
@@ -921,21 +886,8 @@ func (p *PageSeer) startRestore(dPage, nPartner mem.PPN, kind SwapKind, follower
 		},
 	}
 	p.bindHintFlow(op, dPage, kind)
-	led := p.ctl.Ledger()
-	if led != nil {
-		dramB, nvmB := p.ctl.OpBytes(op)
-		job.lid = led.SwapStarted(uint64(dPage.Addr()), uint64(nPartner.Addr()), true,
-			swapTrigger(kind, follower), req, p.sim.Now(), dramB, nvmB)
-		op.LedgerID = job.lid
-	}
-	if pm := p.ctl.PageMap(); pm != nil {
-		job.pid = pm.SwapStarted(uint64(dPage.Addr()), uint64(nPartner.Addr()), true,
-			swapTrigger(kind, follower), p.sim.Now())
-		op.PageMapID = job.pid
-	}
-	if !p.ctl.Engine.Start(op) {
-		led.Abort(job.lid)
-		p.ctl.PageMap().Abort(job.pid)
+	if !p.ctl.StartSwap(op, hmc.SwapMeta{Page: dPage.Addr(), Victim: nPartner.Addr(),
+		Trigger: swapTrigger(kind, follower), Req: req}) {
 		if _, queued := p.pendingKind[dPage]; !queued {
 			p.enqueue(dPage, kind, follower)
 		}
@@ -963,27 +915,6 @@ func (p *PageSeer) completeSwap(page, frame, partner mem.PPN, hasPartner bool, j
 	// Persist the PRT entry (one metadata line write) and refresh the PRTc.
 	p.ctl.IssueLine(p.prtRegion.EntryAddr(uint64(frame)), true, hmc.PrioSwap, nil)
 	p.prtc.Prefetch(uint64(page))
-	p.traceRemapCommit(page)
-	if led := p.ctl.Ledger(); led != nil {
-		now := p.sim.Now()
-		led.RemapCommitted(job.lid, now)
-		// The page that left DRAM: the partner under the optimized-slow
-		// exchange (its data was already in NVM), the frame otherwise.
-		victim := frame
-		if hasPartner {
-			victim = partner
-		}
-		led.Evicted(uint64(victim.Addr()), now)
-	}
-	if pm := p.ctl.PageMap(); pm != nil {
-		now := p.sim.Now()
-		pm.Committed(job.pid, now)
-		victim := frame
-		if hasPartner {
-			victim = partner
-		}
-		pm.Evicted(uint64(victim.Addr()), now)
-	}
 
 	// Residence changed: restart hot-page tracking on the new tiers.
 	p.hptNVM.Remove(page)
@@ -1020,15 +951,6 @@ func (p *PageSeer) bindHintFlow(op *hmc.Op, page mem.PPN, kind SwapKind) {
 		}
 		op.FlowID = o.id
 		delete(p.hintFlow, page)
-	}
-}
-
-// traceRemapCommit marks the moment a completed swap's new mapping became
-// architecturally visible (PRT updated, oracle exchanged).
-func (p *PageSeer) traceRemapCommit(page mem.PPN) {
-	if t := p.ctl.Tracer(); t != nil {
-		t.Instant("swap", "remap-commit", obs.TracePidSwap, traceQueueTid,
-			p.sim.Now(), "page", uint64(page))
 	}
 }
 

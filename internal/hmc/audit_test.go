@@ -13,7 +13,7 @@ import (
 func TestSwapAuditCleanEngine(t *testing.T) {
 	sim, e, _ := testEngine(5)
 	done := false
-	if !e.Start(pageSwapOp(0, mem.Addr(256*mem.PageSize), func() { done = true })) {
+	if !e.start(pageSwapOp(0, mem.Addr(256*mem.PageSize), func() { done = true }), SwapMeta{}, 0, 0) {
 		t.Fatal("Start rejected a valid op")
 	}
 	sim.Drain(0)
@@ -33,7 +33,7 @@ func TestSwapAuditCatchesStuckOp(t *testing.T) {
 	sim := engine.New()
 	drop := func(addr mem.Addr, write bool, prio Priority, done func()) {}
 	e := NewSwapEngine(sim, DefaultSwapEngineConfig(), drop, nil)
-	if !e.Start(pageSwapOp(0, mem.Addr(256*mem.PageSize), nil)) {
+	if !e.start(pageSwapOp(0, mem.Addr(256*mem.PageSize), nil), SwapMeta{}, 0, 0) {
 		t.Fatal("Start rejected a valid op")
 	}
 	sim.Drain(0)
@@ -81,7 +81,7 @@ func TestDescribeRunningStartOrder(t *testing.T) {
 	for i, label := range []string{"swap:z", "", "swap:a"} {
 		op := pageSwapOp(mem.Addr(2*i)*mem.PageSize, mem.Addr(2*i+1)*mem.PageSize, nil)
 		op.Label, op.Tag = label, i
-		if !e.Start(op) {
+		if !e.start(op, SwapMeta{}, 0, 0) {
 			t.Fatal("Start rejected a valid op")
 		}
 		sim.RunUntil(sim.Now() + uint64(10*(i+1)))

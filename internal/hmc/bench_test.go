@@ -62,7 +62,7 @@ func BenchmarkSwapEngineTryService(b *testing.B) {
 	e := NewSwapEngine(sim, cfg, bi.issue, nil)
 	for i := 0; i < cfg.MaxOps; i++ {
 		a := mem.Addr(i) * mem.PageSize
-		if !e.Start(pageSwapOp(a, a+0x1000000, nil)) {
+		if !e.start(pageSwapOp(a, a+0x1000000, nil), SwapMeta{}, 0, 0) {
 			b.Fatal("Start rejected")
 		}
 	}

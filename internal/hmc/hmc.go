@@ -142,6 +142,18 @@ func (s *Stats) Add(o Stats) {
 	s.PTEServedByHMC += o.PTEServedByHMC
 }
 
+// sinks are the observability consumers the controller and its swap engine
+// feed, in one fixed struct of nillable pointers: a detached sink costs one
+// branch per hook and zero allocations (the obs package's
+// zero-cost-when-off contract). The controller holds the struct and the
+// engine points at it, so a sink attached once reaches both.
+type sinks struct {
+	lat   *obs.LatencySet
+	trace *obs.Tracer
+	led   *ledger.Ledger
+	pm    *pagemap.PageMap
+}
+
 // Controller is the hybrid memory controller shell.
 type Controller struct {
 	Sim    *engine.Sim
@@ -173,13 +185,8 @@ type Controller struct {
 	// controller's decision points; see check.Injector.
 	inj *check.Injector
 
-	// Observability sinks, all nil-guarded: a controller without them
-	// pays one branch per request and zero allocations (the obs package's
-	// zero-cost-when-off contract).
-	lat   *obs.LatencySet
-	trace *obs.Tracer
-	led   *ledger.Ledger
-	pm    *pagemap.PageMap
+	// sinks are shared with the swap engine (Engine.sk points here).
+	sinks
 
 	frozen map[mem.PPN]bool
 }
@@ -198,6 +205,8 @@ func NewController(sim *engine.Sim, osm *mem.OS, dramCfg, nvmCfg memsim.Config, 
 	c.DRAM = memsim.New(sim, dramCfg, 0, layout.DRAMBytes)
 	c.NVM = memsim.New(sim, nvmCfg, mem.Addr(layout.DRAMBytes), layout.NVMBytes)
 	c.Engine = NewSwapEngine(sim, swapCfg, c.IssueLine, c.PromoteLine)
+	c.Engine.sk = &c.sinks
+	c.Engine.isDRAM = layout.IsDRAM
 	return c
 }
 
@@ -224,46 +233,69 @@ func (c *Controller) SetLatencySink(l *obs.LatencySet) { c.lat = l }
 func (c *Controller) LatencySink() *obs.LatencySet { return c.lat }
 
 // SetTracer attaches the swap/hint event tracer to the controller and its
-// swap engine (nil detaches). Must be installed before the manager, so
-// managers can cache it.
-func (c *Controller) SetTracer(t *obs.Tracer) {
-	c.trace = t
-	c.Engine.tracer = t
-}
+// swap engine (nil detaches).
+func (c *Controller) SetTracer(t *obs.Tracer) { c.trace = t }
 
 // Tracer returns the attached tracer (nil when tracing is off).
 func (c *Controller) Tracer() *obs.Tracer { return c.trace }
 
 // SetLedger attaches the swap-provenance ledger to the controller and its
-// swap engine (nil detaches). Must be installed before the manager, so
-// managers can cache it; the controller feeds it every data demand and the
-// engine reports per-stage transfer durations.
-func (c *Controller) SetLedger(l *ledger.Ledger) {
-	c.led = l
-	c.Engine.led = l
-}
+// swap engine (nil detaches): the controller feeds it every data demand,
+// StartSwap and the engine every swap's lifecycle.
+func (c *Controller) SetLedger(l *ledger.Ledger) { c.led = l }
 
 // Ledger returns the attached swap-provenance ledger (nil when off).
 func (c *Controller) Ledger() *ledger.Ledger { return c.led }
 
 // SetPageMap attaches the per-page telemetry table to the controller and
-// its swap engine (nil detaches). Must be installed before the manager, so
-// managers can cache it; the controller feeds it every demand access and
-// writeback, and the engine charges swap-transfer NVM writes as wear.
-func (c *Controller) SetPageMap(p *pagemap.PageMap) {
-	c.pm = p
-	c.Engine.pm = p
-	c.Engine.pmIsDRAM = c.Layout.IsDRAM
-}
+// its swap engine (nil detaches): the controller feeds it every demand
+// access and writeback, StartSwap and the engine every swap's lifecycle and
+// its NVM transfer wear.
+func (c *Controller) SetPageMap(p *pagemap.PageMap) { c.pm = p }
 
 // PageMap returns the attached per-page telemetry table (nil when off).
 func (c *Controller) PageMap() *pagemap.PageMap { return c.pm }
 
-// OpBytes sums an op's transfer traffic per memory module: each read is
+// SwapMeta describes a swap to the observability sinks: Page is the unit
+// whose data the op brings into DRAM, Victim the unit whose data it moves
+// out (both OS-visible byte addresses), Trigger what asked for the swap and
+// Req the cycle it was requested.
+type SwapMeta struct {
+	Page, Victim mem.Addr
+	Trigger      ledger.Trigger
+	Req          uint64
+}
+
+// StartSwap starts op on the swap engine and gives it one lifecycle in
+// every attached sink: the ledger and pagemap records open here, the
+// engine reports the op's stage durations and NVM transfer wear against
+// them, and when the op completes the engine emits the remap commit and the
+// victim's eviction immediately before op.OnComplete runs. If the engine
+// refuses the op (all swap buffers busy), both records are aborted and
+// StartSwap reports false; the caller decides whether to queue or drop.
+// Every scheme starts its swaps here, so a new sink is wired in this
+// package alone.
+func (c *Controller) StartSwap(op *Op, m SwapMeta) bool {
+	var lid, pid uint64
+	if c.led != nil {
+		dramB, nvmB := c.opBytes(op)
+		lid = c.led.SwapStarted(uint64(m.Page), uint64(m.Victim), m.Trigger, m.Req, c.Sim.Now(), dramB, nvmB)
+	}
+	if c.pm != nil {
+		pid = c.pm.SwapStarted(uint64(m.Page), uint64(m.Victim), m.Trigger, c.Sim.Now())
+	}
+	if !c.Engine.start(op, m, lid, pid) {
+		c.led.Abort(lid)
+		c.pm.Abort(pid)
+		return false
+	}
+	return true
+}
+
+// opBytes sums an op's transfer traffic per memory module: each read is
 // charged to the module owning its source line, each write to the module
-// owning its destination. Managers pass the result to ledger.SwapStarted so
-// wasted-swap bytes are exact per scheme.
-func (c *Controller) OpBytes(op *Op) (dramBytes, nvmBytes uint64) {
+// owning its destination, so wasted-swap bytes are exact per scheme.
+func (c *Controller) opBytes(op *Op) (dramBytes, nvmBytes uint64) {
 	for _, st := range op.Stages {
 		for _, tr := range st {
 			if tr.Src != NoAddr {

@@ -8,8 +8,6 @@ import (
 	"pageseer/internal/mem"
 	"pageseer/internal/obs"
 	"pageseer/internal/obs/attrib"
-	"pageseer/internal/obs/ledger"
-	"pageseer/internal/obs/pagemap"
 )
 
 // NoAddr marks an absent side of a Transfer (buffer fill or buffer drain).
@@ -47,14 +45,6 @@ type Op struct {
 	// FlowID, when nonzero, closes a causality arrow (e.g. MMU hint →
 	// prefetch swap) at the start of the transfer span.
 	FlowID uint64
-
-	// LedgerID, when nonzero, ties the op to its swap-provenance record:
-	// the engine reports per-stage transfer durations against it.
-	LedgerID uint64
-
-	// PageMapID, when nonzero, ties the op to its pagemap pending swap: the
-	// engine charges the op's NVM line-writes against it as transfer wear.
-	PageMapID uint64
 }
 
 // Reads and Writes return the total page-read/page-write volume of the op
@@ -186,6 +176,8 @@ type opSeg struct {
 type runningOp struct {
 	e          *SwapEngine
 	op         *Op
+	meta       SwapMeta // the swap's identity, for the lifecycle sinks
+	lid, pid   uint64   // its ledger record and pagemap handle (0 when off)
 	began      uint64
 	stageBegan uint64
 	slot       int // trace track: op sequence % MaxOps
@@ -247,21 +239,20 @@ type SwapEngine struct {
 	// through Controller.SetInjector.
 	inj *check.Injector
 
-	// tracer (nil when off) receives the transfer span of every op; opSeq
-	// spreads concurrent ops across MaxOps trace tracks.
-	tracer *obs.Tracer
+	// sk points at the controller's observability sinks (a private empty
+	// set for a bare engine): the tracer receives every op's transfer span,
+	// and ops started by Controller.StartSwap report their lifecycle to the
+	// ledger and the pagemap. opSeq spreads concurrent ops across MaxOps
+	// trace tracks; isDRAM classifies write destinations for NVM wear.
+	sk     *sinks
 	opSeq  uint64
-
-	// led (nil when off) receives per-stage transfer durations for ops
-	// carrying a LedgerID; set through Controller.SetLedger.
-	led *ledger.Ledger
-
-	// pm (nil when off) receives per-op NVM transfer-write wear for ops
-	// carrying a PageMapID; pmIsDRAM classifies destinations by module.
-	// Both set through Controller.SetPageMap.
-	pm       *pagemap.PageMap
-	pmIsDRAM func(mem.Addr) bool
+	isDRAM func(mem.Addr) bool
 }
+
+// TraceQueueTid is the trace track (under the swap-engine process) that
+// carries swap queueing events: request instants, queue-wait spans, and
+// remap commits. Transfer spans live on tids 0..MaxOps-1.
+const TraceQueueTid = 99
 
 // NewSwapEngine builds a swap engine that issues line traffic through
 // issue; promote (optional) re-prioritises an in-flight line when a demand
@@ -275,6 +266,7 @@ func NewSwapEngine(sim *engine.Sim, cfg SwapEngineConfig, issue IssueFunc, promo
 		cfg:     cfg,
 		issue:   issue,
 		promote: promote,
+		sk:      &sinks{},
 	}
 }
 
@@ -298,6 +290,7 @@ func (e *SwapEngine) putOp(r *runningOp) {
 	clear(r.order)
 	r.segs = r.segs[:0]
 	r.op = nil
+	r.meta, r.lid, r.pid = SwapMeta{}, 0, 0
 	r.began, r.stageBegan = 0, 0
 	r.slot, r.stage = 0, 0
 	r.nextRead, r.inflight, r.readsLeft, r.writesLeft = 0, 0, 0, 0
@@ -338,9 +331,11 @@ func (e *SwapEngine) Busy() int { return len(e.running) }
 // CanStart reports whether a new operation would be admitted.
 func (e *SwapEngine) CanStart() bool { return len(e.running) < e.cfg.MaxOps }
 
-// Start begins executing op. It returns false (and counts a rejection) when
-// all swap buffers are busy; the caller decides whether to queue or drop.
-func (e *SwapEngine) Start(op *Op) bool {
+// start begins executing op as the swap m, whose ledger record and pagemap
+// handle are lid and pid (0 when that sink is off). It returns false (and
+// counts a rejection) when all swap buffers are busy. Schemes start swaps
+// through Controller.StartSwap, which opens the records.
+func (e *SwapEngine) start(op *Op, m SwapMeta, lid, pid uint64) bool {
 	if !e.CanStart() || (e.inj != nil && e.inj.SwapStartBlocked()) {
 		e.stats.OpsRejected++
 		return false
@@ -350,6 +345,7 @@ func (e *SwapEngine) Start(op *Op) bool {
 	}
 	r := e.getOp()
 	r.op = op
+	r.meta, r.lid, r.pid = m, lid, pid
 	r.began = e.sim.Now()
 	r.stageBegan = e.sim.Now()
 	if cap(r.order) < len(op.Stages) {
@@ -357,12 +353,12 @@ func (e *SwapEngine) Start(op *Op) bool {
 	} else {
 		r.order = r.order[:len(op.Stages)]
 	}
-	if e.tracer != nil {
+	if e.sk.trace != nil {
 		r.slot = int(e.opSeq % uint64(e.cfg.MaxOps))
 		e.opSeq++
 		if op.FlowID != 0 {
 			// Close the causality arrow (e.g. MMU hint) on this op's track.
-			e.tracer.FlowEnd("hint", "mmu-hint", op.FlowID, obs.TracePidSwap, r.slot, r.began)
+			e.sk.trace.FlowEnd("hint", "mmu-hint", op.FlowID, obs.TracePidSwap, r.slot, r.began)
 		}
 	}
 	for si, st := range op.Stages {
@@ -507,7 +503,7 @@ func (e *SwapEngine) readDone(l *opLine) {
 
 func (e *SwapEngine) issueWrite(r *runningOp, dst mem.Addr) {
 	e.stats.LinesWritten++
-	if e.pm != nil && r.op.PageMapID != 0 && !e.pmIsDRAM(dst) {
+	if r.pid != 0 && !e.isDRAM(dst) {
 		r.nvmWrites++
 	}
 	e.issue(dst, true, PrioSwap, r.writeFn)
@@ -524,12 +520,13 @@ func (e *SwapEngine) writeDone(r *runningOp) {
 
 func (e *SwapEngine) finishStage(r *runningOp) {
 	now := e.sim.Now()
-	if e.tracer != nil {
-		e.tracer.Complete("swap", fmt.Sprintf("stage-%d", r.stage),
+	tr, led, pm := e.sk.trace, e.sk.led, e.sk.pm
+	if tr != nil {
+		tr.Complete("swap", fmt.Sprintf("stage-%d", r.stage),
 			obs.TracePidSwap, r.slot, r.stageBegan, now, "lines", uint64(len(r.order[r.stage])))
 	}
-	if e.led != nil && r.op.LedgerID != 0 {
-		e.led.StageDone(r.op.LedgerID, r.stage, now-r.stageBegan)
+	if r.lid != 0 {
+		led.StageDone(r.lid, r.stage, now-r.stageBegan)
 	}
 	r.stageBegan = now
 	if r.stage+1 < len(r.op.Stages) {
@@ -541,40 +538,56 @@ func (e *SwapEngine) finishStage(r *runningOp) {
 	// the manager's remap state), then dismantle buffer interception.
 	e.retire(r)
 	e.stats.OpsCompleted++
-	e.stats.OpCycles += e.sim.Now() - r.began
-	if e.tracer != nil {
+	e.stats.OpCycles += now - r.began
+	if tr != nil {
 		label := r.op.Label
 		if label == "" {
 			label = "swap"
 		}
-		e.tracer.Complete("swap", label, obs.TracePidSwap, r.slot,
-			r.began, e.sim.Now(), "stages", uint64(len(r.op.Stages)))
+		tr.Complete("swap", label, obs.TracePidSwap, r.slot,
+			r.began, now, "stages", uint64(len(r.op.Stages)))
 	}
 	if r.waiting != 0 {
 		// Every waiter registers on a src line of some stage, and every
 		// stage's reads complete before the op does.
 		panic("hmc: swap op completed with demand waiters still pending")
 	}
-	// Transfer wear lands before OnComplete commits the swap, while the
-	// pagemap's pending entry is still alive to attribute it.
-	if e.pm != nil && r.op.PageMapID != 0 {
-		e.pm.SwapTransferred(r.op.PageMapID, r.nvmWrites)
+	// Transfer wear lands before the commit, while the pagemap's pending
+	// entry is still alive to attribute it.
+	if r.pid != 0 {
+		pm.SwapTransferred(r.pid, r.nvmWrites)
 	}
 	// Release before OnComplete: the callback may start a new op that
 	// reuses this record.
-	op := r.op
+	op, m, lid, pid := r.op, r.meta, r.lid, r.pid
 	e.putOp(r)
+	// The swap's commit events fire before OnComplete, so every sink has
+	// seen this commit before the manager's post-commit work can start the
+	// next swap (MemPod's and PageSeer's queue drains). Nothing OnComplete
+	// does ahead of that touches a sink.
+	if tr != nil {
+		tr.Instant("swap", "remap-commit", obs.TracePidSwap, TraceQueueTid,
+			now, "page", uint64(mem.PageOf(m.Page)))
+	}
+	if led != nil {
+		led.RemapCommitted(lid, now)
+		led.Evicted(uint64(m.Victim), now)
+	}
+	if pm != nil {
+		pm.Committed(pid, now)
+		pm.Evicted(uint64(m.Victim), now)
+	}
 	if op.OnComplete != nil {
 		op.OnComplete()
 	}
 	// Counter tracks sample the effectiveness totals at every op boundary,
 	// after OnComplete so the sample reflects the committed remap.
-	if e.tracer != nil && e.led != nil {
-		started, useful, unused, open := e.led.Counts()
-		e.tracer.Counter("ledger", "swaps-started", obs.TracePidSwap, now, "value", started)
-		e.tracer.Counter("ledger", "swaps-useful", obs.TracePidSwap, now, "value", useful)
-		e.tracer.Counter("ledger", "swaps-unused", obs.TracePidSwap, now, "value", unused)
-		e.tracer.Counter("ledger", "swaps-open", obs.TracePidSwap, now, "value", open)
+	if tr != nil && led != nil {
+		started, useful, unused, open := led.Counts()
+		tr.Counter("ledger", "swaps-started", obs.TracePidSwap, now, "value", started)
+		tr.Counter("ledger", "swaps-useful", obs.TracePidSwap, now, "value", useful)
+		tr.Counter("ledger", "swaps-unused", obs.TracePidSwap, now, "value", unused)
+		tr.Counter("ledger", "swaps-open", obs.TracePidSwap, now, "value", open)
 	}
 }
 

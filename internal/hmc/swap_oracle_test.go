@@ -60,7 +60,7 @@ func TestSwapEngineNewestOpOwnsSharedLine(t *testing.T) {
 	newer := &Op{Stages: []Stage{{{Src: p1, Dst: p2, Bytes: mem.PageSize}, {Src: p2, Dst: p1, Bytes: mem.PageSize}}}}
 	ref := refOwners{}
 	for _, op := range []*Op{older, newer} {
-		if !e.Start(op) {
+		if !e.start(op, SwapMeta{}, 0, 0) {
 			t.Fatal("Start rejected")
 		}
 		ref.start(op)
@@ -129,7 +129,7 @@ func TestSwapEngineInterceptionMatchesMapReference(t *testing.T) {
 			if e.CanStart() && (len(pa.dones) == 0 || rng.Intn(4) == 0) {
 				var op *Op
 				op = &Op{Stages: randomStages(rng, pages), OnComplete: func() { ref.complete(op) }}
-				if !e.Start(op) {
+				if !e.start(op, SwapMeta{}, 0, 0) {
 					t.Fatal("Start rejected with a free slot")
 				}
 				ref.start(op)

@@ -54,7 +54,7 @@ func pageSwapOp(a, b mem.Addr, onDone func()) *Op {
 func TestFastSwapMovesAllLines(t *testing.T) {
 	sim, e, ri := testEngine(10)
 	done := false
-	if !e.Start(pageSwapOp(0, 0x100000, func() { done = true })) {
+	if !e.start(pageSwapOp(0, 0x100000, func() { done = true }), SwapMeta{}, 0, 0) {
 		t.Fatal("Start rejected with empty engine")
 	}
 	sim.Drain(0)
@@ -94,7 +94,7 @@ func TestOptimizedSlowSwapCost(t *testing.T) {
 	sim, e, ri := testEngine(10)
 	completed := false
 	op.OnComplete = func() { completed = true }
-	e.Start(op)
+	e.start(op, SwapMeta{}, 0, 0)
 	sim.Drain(0)
 	if !completed {
 		t.Fatal("op never completed")
@@ -145,7 +145,7 @@ func TestStageBarrier(t *testing.T) {
 		}
 		origIssue(addr, write, prio, done)
 	}
-	e.Start(op)
+	e.start(op, SwapMeta{}, 0, 0)
 	sim.Drain(0)
 	for _, s := range order {
 		if s != 2 {
@@ -160,11 +160,11 @@ func TestStageBarrier(t *testing.T) {
 func TestCapacityRejection(t *testing.T) {
 	sim, e, _ := testEngine(1000)
 	for i := 0; i < e.cfg.MaxOps; i++ {
-		if !e.Start(pageSwapOp(mem.Addr(i)<<20, mem.Addr(i+100)<<20, nil)) {
+		if !e.start(pageSwapOp(mem.Addr(i)<<20, mem.Addr(i+100)<<20, nil), SwapMeta{}, 0, 0) {
 			t.Fatalf("op %d rejected below capacity", i)
 		}
 	}
-	if e.Start(pageSwapOp(0x70000000, 0x7F000000, nil)) {
+	if e.start(pageSwapOp(0x70000000, 0x7F000000, nil), SwapMeta{}, 0, 0) {
 		t.Fatal("op admitted beyond capacity")
 	}
 	if e.Stats().OpsRejected != 1 {
@@ -178,7 +178,7 @@ func TestCapacityRejection(t *testing.T) {
 
 func TestBufferServiceDuringSwap(t *testing.T) {
 	sim, e, _ := testEngine(50)
-	e.Start(pageSwapOp(0, 0x100000, nil))
+	e.start(pageSwapOp(0, 0x100000, nil), SwapMeta{}, 0, 0)
 	// Demand for a line of the page being swapped must be intercepted.
 	served := false
 	if !e.TryService(0x40, nil, func() { served = true }) {
@@ -196,7 +196,7 @@ func TestBufferServiceDuringSwap(t *testing.T) {
 
 func TestTryServiceIgnoresUninvolvedLines(t *testing.T) {
 	sim, e, _ := testEngine(50)
-	e.Start(pageSwapOp(0, 0x100000, nil))
+	e.start(pageSwapOp(0, 0x100000, nil), SwapMeta{}, 0, 0)
 	if e.TryService(0x5000000, nil, func() {}) {
 		t.Fatal("intercepted a line outside the swap")
 	}
@@ -208,7 +208,7 @@ func TestTryServiceIgnoresUninvolvedLines(t *testing.T) {
 
 func TestDemandEscalationPromotesRead(t *testing.T) {
 	sim, e, ri := testEngine(50)
-	e.Start(pageSwapOp(0, 0x100000, nil))
+	e.start(pageSwapOp(0, 0x100000, nil), SwapMeta{}, 0, 0)
 	// The last line of the page is deep in the issue order; demanding it
 	// must escalate its read to demand priority.
 	lastLine := mem.Addr(mem.PageSize - mem.LineSize)
@@ -235,7 +235,7 @@ func TestOpValidation(t *testing.T) {
 	} {
 		func() {
 			defer func() { recover() }()
-			e.Start(op)
+			e.start(op, SwapMeta{}, 0, 0)
 			t.Errorf("invalid op %+v did not panic", op)
 		}()
 	}
@@ -279,7 +279,7 @@ func TestOpCompletionProperty(t *testing.T) {
 		}
 		completed := false
 		op.OnComplete = func() { completed = true }
-		if !e.Start(op) {
+		if !e.start(op, SwapMeta{}, 0, 0) {
 			return false
 		}
 		sim.Drain(0)
@@ -300,7 +300,7 @@ func TestInterceptionAlwaysCompletesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sim, e, _ := testEngine(uint64(rng.Intn(80) + 5))
-		e.Start(pageSwapOp(0, 0x100000, nil))
+		e.start(pageSwapOp(0, 0x100000, nil), SwapMeta{}, 0, 0)
 		want, got := 0, 0
 		for i := 0; i < 50; i++ {
 			line := mem.Addr(rng.Intn(2*mem.PageSize)) & ^mem.Addr(63)

@@ -7,15 +7,6 @@ import (
 	"pageseer/internal/ckpt"
 )
 
-func sortedSegs[V any](m map[seg]V) []seg {
-	keys := make([]seg, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // snapshotState serializes the sketch: its counters (sorted by element) and
 // the increment/decrement totals.
 func (m *MEA) snapshotState(w *ckpt.Writer) {
@@ -48,26 +39,15 @@ func (m *MEA) restoreState(r *ckpt.Reader) {
 // residency, the interval clock, and the statistics. It refuses a
 // non-quiesced manager (in-flight migrations or queued interval work).
 func (m *MemPod) Snapshot(w *ckpt.Writer) error {
-	if len(m.inflight) != 0 || len(m.pending) != 0 {
+	if n := m.slots.InFlight(); n != 0 || len(m.pending) != 0 {
 		return fmt.Errorf("mempod: %d migration(s) in flight, %d queued; snapshot requires quiescence",
-			len(m.inflight), len(m.pending))
+			n, len(m.pending))
 	}
 	w.Section("mempod")
 	if err := m.remapCache.Snapshot(w); err != nil {
 		return err
 	}
-	loc := sortedSegs(m.location)
-	w.Int(len(loc))
-	for _, s := range loc {
-		w.U64(uint64(s))
-		w.U64(uint64(m.location[s]))
-	}
-	occ := sortedSegs(m.occupant)
-	w.Int(len(occ))
-	for _, s := range occ {
-		w.U64(uint64(s))
-		w.U64(uint64(m.occupant[s]))
-	}
+	m.slots.Snapshot(w)
 	w.Int(len(m.pods))
 	for i := range m.pods {
 		m.pods[i].mea.snapshotState(w)
@@ -85,16 +65,7 @@ func (m *MemPod) Snapshot(w *ckpt.Writer) error {
 func (m *MemPod) Restore(r *ckpt.Reader) {
 	r.Section("mempod")
 	m.remapCache.Restore(r)
-	m.location = make(map[seg]seg)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		s := seg(r.U64())
-		m.location[s] = seg(r.U64())
-	}
-	m.occupant = make(map[seg]seg)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		s := seg(r.U64())
-		m.occupant[s] = seg(r.U64())
-	}
+	m.slots.Restore(r)
 	if n := r.Int(); n != len(m.pods) {
 		r.Failf("mempod: snapshot has %d pod(s), built %d", n, len(m.pods))
 		return

@@ -8,7 +8,6 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
-	"pageseer/internal/obs/ledger"
 )
 
 // SegmentBytes is MemPod's migration granularity.
@@ -90,13 +89,6 @@ type pod struct {
 	nextVictim seg
 }
 
-type job struct {
-	segs    []seg
-	waiters []func()
-	lid     uint64 // swap-provenance record ID (0 when the ledger is off)
-	pid     uint64 // pagemap pending-swap handle (0 when the pagemap is off)
-}
-
 // MemPod is the baseline manager.
 type MemPod struct {
 	sim *engine.Sim
@@ -111,9 +103,7 @@ type MemPod struct {
 	pods      []pod
 	lastTick  uint64
 
-	location map[seg]seg
-	occupant map[seg]seg
-	inflight map[seg]*job
+	slots *hmc.SlotRemap[seg]
 
 	// pending holds interval migrations waiting for a free swap buffer;
 	// hotness is re-checked against the sketch state at start time.
@@ -136,11 +126,9 @@ func New(ctl *hmc.Controller, cfg Config) *MemPod {
 		cfg:       cfg,
 		fastSegs:  seg(ctl.Layout.DRAMBytes / SegmentBytes),
 		totalSegs: seg(ctl.Layout.Total() / SegmentBytes),
-		location:  make(map[seg]seg),
-		occupant:  make(map[seg]seg),
-		inflight:  make(map[seg]*job),
 	}
 	m.region = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
+	m.slots = hmc.NewSlotRemap(ctl, SegmentBytes, m.region, m.committed)
 	m.remapCache = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
 		Name: "MemPodRemap", Entries: cfg.RemapEntries, Ways: cfg.RemapWays,
 		HitLatency: cfg.RemapLatency, EntriesPerLine: 16, // 4B segment entries
@@ -162,39 +150,18 @@ func (m *MemPod) Stats() Stats { return m.stats }
 // RemapCache exposes the remap cache for stats.
 func (m *MemPod) RemapCache() *hmc.MetaCache { return m.remapCache }
 
-func segOf(a mem.Addr) seg   { return seg(a >> segShift) }
-func (s seg) base() mem.Addr { return mem.Addr(s) << segShift }
+func segOf(a mem.Addr) seg { return seg(a >> segShift) }
 
 // podOf statically interleaves segments across pods; a pod owns matching
 // slices of DRAM and NVM so migrations stay pod-local.
 func (m *MemPod) podOf(s seg) int { return int(s) % m.cfg.Pods }
 
-func (m *MemPod) locate(s seg) seg {
-	if l, ok := m.location[s]; ok {
-		return l
-	}
-	return s
-}
-
-func (m *MemPod) occupantOf(slot seg) seg {
-	if o, ok := m.occupant[slot]; ok {
-		return o
-	}
-	return slot
-}
-
 // TranslateLine implements hmc.Manager.
-func (m *MemPod) TranslateLine(addr mem.Addr) mem.Addr {
-	s := segOf(addr)
-	off := addr - s.base()
-	return m.locate(s).base() + off
-}
+func (m *MemPod) TranslateLine(addr mem.Addr) mem.Addr { return m.slots.TranslateLine(addr) }
 
 // CheckIntegrity implements hmc.Manager.
 func (m *MemPod) CheckIntegrity() error {
-	if err := m.ctl.Oracle.VerifyAll(func(d uint64) uint64 {
-		return uint64(m.locate(seg(d)))
-	}); err != nil {
+	if err := m.slots.Verify(); err != nil {
 		return fmt.Errorf("mempod: %w", err)
 	}
 	return nil
@@ -245,7 +212,7 @@ func (m *MemPod) interval() {
 				break
 			}
 			s := seg(h)
-			if m.locate(s) < m.fastSegs {
+			if m.slots.Locate(s) < m.fastSegs {
 				continue // already in DRAM
 			}
 			if !m.ctl.Engine.CanStart() {
@@ -270,68 +237,21 @@ func (m *MemPod) migrate(pi int, s seg, hotSet map[seg]bool) bool {
 	if !ok {
 		return false
 	}
-	srcSlot := m.locate(s)
-	if m.inflight[slot] != nil || m.inflight[srcSlot] != nil {
-		return false
-	}
-	displaced := m.occupantOf(slot)
-	if m.frozen(s) || m.frozen(displaced) {
-		return false
-	}
-	op := &hmc.Op{
-		Stages: []hmc.Stage{{
-			{Src: srcSlot.base(), Dst: slot.base(), Bytes: SegmentBytes},
-			{Src: slot.base(), Dst: srcSlot.base(), Bytes: SegmentBytes},
-		}},
-	}
-	j := &job{segs: []seg{slot, srcSlot}}
-	op.OnComplete = func() {
-		m.setOccupant(slot, s)
-		m.setOccupant(srcSlot, displaced)
-		m.ctl.Oracle.Exchange(uint64(slot), uint64(srcSlot))
-		m.ctl.IssueLine(m.region.EntryAddr(uint64(slot)), true, hmc.PrioSwap, nil)
-		m.remapCache.Prefetch(uint64(s))
-		if led := m.ctl.Ledger(); led != nil {
-			now := m.sim.Now()
-			led.RemapCommitted(j.lid, now)
-			led.Evicted(uint64(displaced.base()), now)
-		}
-		if pm := m.ctl.PageMap(); pm != nil {
-			now := m.sim.Now()
-			pm.Committed(j.pid, now)
-			pm.Evicted(uint64(displaced.base()), now)
-		}
-		m.stats.Migrations++
-		for _, sg := range j.segs {
-			delete(m.inflight, sg)
-		}
-		for _, w := range j.waiters {
-			w()
-		}
-		m.drainPending()
-	}
-	led := m.ctl.Ledger()
-	if led != nil {
-		now := m.sim.Now()
-		dramB, nvmB := m.ctl.OpBytes(op)
-		j.lid = led.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, now, now, dramB, nvmB)
-		op.LedgerID = j.lid
-	}
-	if pm := m.ctl.PageMap(); pm != nil {
-		j.pid = pm.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, m.sim.Now())
-		op.PageMapID = j.pid
-	}
-	if !m.ctl.Engine.Start(op) {
-		led.Abort(j.lid)
-		m.ctl.PageMap().Abort(j.pid)
+	switch m.slots.TryExchange(s, slot) {
+	case hmc.Exchanged:
+		return true
+	case hmc.ExchangeRefused:
 		m.stats.MigrationsDropped++
-		return false
 	}
-	m.inflight[slot] = j
-	m.inflight[srcSlot] = j
-	return true
+	return false
+}
+
+// committed is MemPod's post-commit step: refresh the remap cache with s's
+// new entry, then start queued migrations on the freed swap buffer.
+func (m *MemPod) committed(s, _ seg) {
+	m.remapCache.Prefetch(uint64(s))
+	m.stats.Migrations++
+	m.drainPending()
 }
 
 // drainPending starts queued interval migrations as swap buffers free.
@@ -339,7 +259,7 @@ func (m *MemPod) drainPending() {
 	for len(m.pending) > 0 && m.ctl.Engine.CanStart() {
 		e := m.pending[0]
 		m.pending = m.pending[1:]
-		if m.locate(e.s) < m.fastSegs {
+		if m.slots.Locate(e.s) < m.fastSegs {
 			continue
 		}
 		if !m.migrate(e.pod, e.s, e.hot) {
@@ -363,11 +283,8 @@ func (m *MemPod) pickVictim(pi int, hotSet map[seg]bool) (seg, bool) {
 		if slot >= m.fastSegs {
 			continue
 		}
-		data := m.occupantOf(slot)
-		if hotSet[data] || m.inflight[slot] != nil || m.frozen(data) {
-			continue
-		}
-		if m.pinnedSlot(slot) {
+		data := m.slots.Occupant(slot)
+		if hotSet[data] || m.slots.Busy(slot) || m.slots.Frozen(data) || m.slots.Pinned(slot) {
 			continue
 		}
 		p.nextVictim = idx + 1
@@ -376,61 +293,11 @@ func (m *MemPod) pickVictim(pi int, hotSet map[seg]bool) (seg, bool) {
 	return 0, false
 }
 
-// pinnedSlot protects the controller's own remap-table region and page
-// tables from being migrated.
-func (m *MemPod) pinnedSlot(slot seg) bool {
-	a := slot.base()
-	if a >= m.region.Base && uint64(a-m.region.Base) < m.region.Bytes {
-		return true
-	}
-	return m.ctl.OS.IsPageTable(mem.PageOf(a))
-}
-
-func (m *MemPod) setOccupant(slot, data seg) {
-	if slot == data {
-		delete(m.occupant, slot)
-		delete(m.location, data)
-		return
-	}
-	m.occupant[slot] = data
-	m.location[data] = slot
-}
-
-// frozen reports whether the page overlapping segment s is DMA-frozen.
-func (m *MemPod) frozen(s seg) bool {
-	return m.ctl.FrozenByDMA(mem.PageOf(s.base()))
-}
-
 // MMUHint implements hmc.Manager: MemPod has no MMU connection.
 func (m *MemPod) MMUHint(mmu.Hint) {}
 
 // FreezePage implements hmc.Manager.
-func (m *MemPod) FreezePage(page mem.PPN, done func()) {
-	base := segOf(page.Addr())
-	waitFor := map[*job]struct{}{}
-	for i := 0; i < mem.PageSize/SegmentBytes; i++ {
-		s := base + seg(i)
-		if j, ok := m.inflight[m.locate(s)]; ok {
-			waitFor[j] = struct{}{}
-		}
-		if j, ok := m.inflight[s]; ok {
-			waitFor[j] = struct{}{}
-		}
-	}
-	if len(waitFor) == 0 {
-		done()
-		return
-	}
-	remaining := len(waitFor)
-	for j := range waitFor {
-		j.waiters = append(j.waiters, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
-	}
-}
+func (m *MemPod) FreezePage(page mem.PPN, done func()) { m.slots.FreezePage(page, done) }
 
 // UnfreezePage implements hmc.Manager.
 func (m *MemPod) UnfreezePage(mem.PPN) {}

@@ -161,7 +161,7 @@ func TestMigrationsStayInPod(t *testing.T) {
 	sim.Drain(0)
 	for _, h := range hots {
 		s := segOf(h)
-		loc := m.locate(s)
+		loc := m.slots.Locate(s)
 		if loc == s {
 			continue // not migrated (victim scarcity is fine)
 		}
@@ -197,7 +197,7 @@ func TestHotDRAMDataNotVictimised(t *testing.T) {
 	sim.RunUntil(sim.Now() + 2*m.cfg.IntervalCycles)
 	miss(sim, ctl, hot)
 	sim.Drain(0)
-	if m.occupantOf(s) != s {
+	if m.slots.Occupant(s) != s {
 		t.Fatal("hot DRAM segment was displaced")
 	}
 }

@@ -87,11 +87,10 @@ const maxStages = 2
 
 // Record is one swap's full causal chain.
 type Record struct {
-	ID     uint64 // 1-based, monotonically increasing across the run
-	Unit   uint64 // swap unit (addr >> unitShift) of the swapped-in data
-	Victim uint64 // unit of the displaced data, when VictimValid
-	VictimValid bool
-	Trigger     Trigger
+	ID      uint64 // 1-based, monotonically increasing across the run
+	Unit    uint64 // swap unit (addr >> unitShift) of the swapped-in data
+	Victim  uint64 // unit of the displaced data
+	Trigger Trigger
 
 	Hinted    bool   // an MMU hint preceded the swap request
 	HintCycle uint64 // cycle the hint was computed (final-PTE computation)
@@ -244,18 +243,18 @@ func (l *Ledger) Hint(addr, now uint64) {
 }
 
 // SwapStarted opens a record: the engine accepted an op at cycle now that
-// swaps addr in (displacing victim when victimValid), requested at cycle
-// req by trig, moving bytesDRAM/bytesNVM on the two modules. It returns
-// the record ID for the op to carry (0 when the ledger is disabled). If
-// the engine later refuses the op, undo with Abort.
-func (l *Ledger) SwapStarted(addr, victim uint64, victimValid bool, trig Trigger, req, now, bytesDRAM, bytesNVM uint64) uint64 {
+// swaps addr in (displacing victim), requested at cycle req by trig, moving
+// bytesDRAM/bytesNVM on the two modules. It returns the record ID for the
+// op to carry (0 when the ledger is disabled). If the engine later refuses
+// the op, undo with Abort.
+func (l *Ledger) SwapStarted(addr, victim uint64, trig Trigger, req, now, bytesDRAM, bytesNVM uint64) uint64 {
 	if l == nil {
 		return 0
 	}
 	unit := l.Unit(addr)
 	id := l.baseID + uint64(len(l.records)) + 1
 	r := Record{
-		ID: id, Unit: unit, Trigger: trig,
+		ID: id, Unit: unit, Victim: l.Unit(victim), Trigger: trig,
 		RequestCycle: req, StartCycle: now,
 		BytesDRAM: bytesDRAM, BytesNVM: bytesNVM,
 	}
@@ -263,15 +262,10 @@ func (l *Ledger) SwapStarted(addr, victim uint64, victimValid bool, trig Trigger
 		r.Hinted, r.HintCycle = true, hc
 		delete(l.hints, unit)
 	}
-	if victimValid {
-		r.Victim, r.VictimValid = l.Unit(victim), true
-	}
 	idx := uint32(len(l.records))
 	l.records = append(l.records, r)
 	l.in[unit] = idx
-	if r.VictimValid {
-		l.vict[r.Victim] = idx
-	}
+	l.vict[r.Victim] = idx
 	l.started[trig]++
 	return id
 }
@@ -287,9 +281,7 @@ func (l *Ledger) Abort(id uint64) {
 	}
 	r := l.records[len(l.records)-1]
 	delete(l.in, r.Unit)
-	if r.VictimValid {
-		delete(l.vict, r.Victim)
-	}
+	delete(l.vict, r.Victim)
 	if r.Hinted {
 		l.hints[r.Unit] = r.HintCycle // restore for the retry
 	}
@@ -337,10 +329,8 @@ func (l *Ledger) RemapCommitted(id, now uint64) {
 	}
 	r := &l.records[idx]
 	r.Committed, r.CommitCycle = true, now
-	if r.VictimValid {
-		if vi, ok := l.vict[r.Victim]; ok && vi == uint32(idx) {
-			delete(l.vict, r.Victim)
-		}
+	if vi, ok := l.vict[r.Victim]; ok && vi == uint32(idx) {
+		delete(l.vict, r.Victim)
 	}
 }
 

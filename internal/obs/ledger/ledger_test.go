@@ -15,7 +15,7 @@ func TestZeroAllocDisabledLedger(t *testing.T) {
 	var l *Ledger
 	n := testing.AllocsPerRun(1000, func() {
 		l.Hint(0x1000, 10)
-		l.SwapStarted(0x1000, 0x2000, true, TrigMMU, 10, 20, 4096, 4096)
+		l.SwapStarted(0x1000, 0x2000, TrigMMU, 10, 20, 4096, 4096)
 		l.Abort(1)
 		l.StageDone(1, 0, 100)
 		l.RemapCommitted(1, 200)
@@ -52,7 +52,7 @@ func TestTriggerAndOutcomeStrings(t *testing.T) {
 func TestUsefulSwapWithHintLeadTime(t *testing.T) {
 	l := New(12)
 	l.Hint(0x5000, 100)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigMMU, 150, 160, 8192, 8192)
+	id := l.SwapStarted(0x5000, 0x9000, TrigMMU, 150, 160, 8192, 8192)
 	if id != 1 {
 		t.Fatalf("first record ID = %d, want 1", id)
 	}
@@ -86,7 +86,7 @@ func TestUsefulSwapWithHintLeadTime(t *testing.T) {
 // data arrived, just not soon enough to hide the swap.
 func TestDemandBeforeCommitIsLate(t *testing.T) {
 	l := New(12)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigRegular, 150, 160, 8192, 8192)
+	id := l.SwapStarted(0x5000, 0x9000, TrigRegular, 150, 160, 8192, 8192)
 	l.Demand(0x5000, 200) // pre-commit
 	l.RemapCommitted(id, 400)
 	s := l.Summary()
@@ -99,7 +99,7 @@ func TestDemandBeforeCommitIsLate(t *testing.T) {
 // record Unused and charges its transfer bytes as waste.
 func TestEvictedUnusedChargesWaste(t *testing.T) {
 	l := New(12)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigPCT, 150, 160, 4096, 8192)
+	id := l.SwapStarted(0x5000, 0x9000, TrigPCT, 150, 160, 4096, 8192)
 	l.RemapCommitted(id, 400)
 	l.Evicted(0x5000, 1000)
 	s := l.Summary()
@@ -122,7 +122,7 @@ func TestEvictedUnusedChargesWaste(t *testing.T) {
 // still wanted — and must NOT count as the swap's payoff.
 func TestVictimReRequestIsLateNotUseful(t *testing.T) {
 	l := New(12)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigRegular, 100, 110, 8192, 8192)
+	id := l.SwapStarted(0x5000, 0x9000, TrigRegular, 100, 110, 8192, 8192)
 	l.Demand(0x9000, 200) // victim re-requested mid-swap
 	s := l.Summary()
 	if s.TotalUseful() != 0 {
@@ -148,7 +148,7 @@ func TestVictimReRequestIsLateNotUseful(t *testing.T) {
 func TestAbortRestoresHintAndCounts(t *testing.T) {
 	l := New(12)
 	l.Hint(0x5000, 50)
-	id := l.SwapStarted(0x5000, 0x9000, true, TrigMMU, 100, 110, 8192, 8192)
+	id := l.SwapStarted(0x5000, 0x9000, TrigMMU, 100, 110, 8192, 8192)
 	l.Abort(id)
 	if got, _, _, _ := l.Counts(); got != 0 {
 		t.Fatalf("started = %d after abort, want 0", got)
@@ -157,7 +157,7 @@ func TestAbortRestoresHintAndCounts(t *testing.T) {
 		t.Fatalf("%d records after abort, want 0", len(l.Records()))
 	}
 	// Retry consumes the restored hint.
-	id2 := l.SwapStarted(0x5000, 0x9000, true, TrigMMU, 120, 130, 8192, 8192)
+	id2 := l.SwapStarted(0x5000, 0x9000, TrigMMU, 120, 130, 8192, 8192)
 	if r := l.Records()[0]; !r.Hinted || r.HintCycle != 50 {
 		t.Fatalf("retry lost the hint: %+v", r)
 	}
@@ -165,7 +165,7 @@ func TestAbortRestoresHintAndCounts(t *testing.T) {
 		t.Fatalf("retry ID = %d, want 1 (abort must free the slot)", id2)
 	}
 	// Aborting a non-latest ID is a no-op.
-	l.SwapStarted(0x7000, 0xb000, true, TrigRegular, 140, 150, 8192, 8192)
+	l.SwapStarted(0x7000, 0xb000, TrigRegular, 140, 150, 8192, 8192)
 	l.Abort(id2)
 	if got, _, _, _ := l.Counts(); got != 2 {
 		t.Fatalf("started = %d after stale abort, want 2", got)
@@ -177,7 +177,7 @@ func TestAbortRestoresHintAndCounts(t *testing.T) {
 // must get fresh IDs that never collide with stale ones.
 func TestResetDropsStaleIDs(t *testing.T) {
 	l := New(12)
-	stale := l.SwapStarted(0x5000, 0x9000, true, TrigRegular, 100, 110, 8192, 8192)
+	stale := l.SwapStarted(0x5000, 0x9000, TrigRegular, 100, 110, 8192, 8192)
 	l.Reset()
 	if got, _, _, _ := l.Counts(); got != 0 {
 		t.Fatalf("started = %d after reset, want 0", got)
@@ -187,7 +187,7 @@ func TestResetDropsStaleIDs(t *testing.T) {
 	if len(l.Records()) != 0 {
 		t.Fatalf("stale callback revived a record")
 	}
-	fresh := l.SwapStarted(0x6000, 0xa000, true, TrigRegular, 500, 510, 8192, 8192)
+	fresh := l.SwapStarted(0x6000, 0xa000, TrigRegular, 500, 510, 8192, 8192)
 	if fresh <= stale {
 		t.Fatalf("fresh ID %d not beyond stale ID %d", fresh, stale)
 	}
@@ -204,10 +204,10 @@ func TestSummaryDeterministicAcrossCopies(t *testing.T) {
 	drive := func() Summary {
 		l := New(12)
 		l.Hint(0x5000, 10)
-		a := l.SwapStarted(0x5000, 0x9000, true, TrigMMU, 20, 30, 8192, 8192)
+		a := l.SwapStarted(0x5000, 0x9000, TrigMMU, 20, 30, 8192, 8192)
 		l.RemapCommitted(a, 100)
 		l.Demand(0x5000, 150)
-		b := l.SwapStarted(0x7000, 0xb000, true, TrigPCT, 160, 170, 8192, 8192)
+		b := l.SwapStarted(0x7000, 0xb000, TrigPCT, 160, 170, 8192, 8192)
 		l.RemapCommitted(b, 300)
 		l.Evicted(0x7000, 400)
 		return l.Summary()
@@ -223,13 +223,13 @@ func TestSummaryDeterministicAcrossCopies(t *testing.T) {
 func TestConservationAuditFires(t *testing.T) {
 	build := func() *Ledger {
 		l := New(12)
-		a := l.SwapStarted(0x5000, 0x9000, true, TrigRegular, 20, 30, 8192, 8192)
+		a := l.SwapStarted(0x5000, 0x9000, TrigRegular, 20, 30, 8192, 8192)
 		l.RemapCommitted(a, 100)
 		l.Demand(0x5000, 150)
-		b := l.SwapStarted(0x7000, 0xb000, true, TrigPCT, 160, 170, 8192, 8192)
+		b := l.SwapStarted(0x7000, 0xb000, TrigPCT, 160, 170, 8192, 8192)
 		l.RemapCommitted(b, 300)
 		l.Evicted(0x7000, 400)
-		l.SwapStarted(0xd000, 0xf000, true, TrigMMU, 500, 510, 8192, 8192) // stays open
+		l.SwapStarted(0xd000, 0xf000, TrigMMU, 500, 510, 8192, 8192) // stays open
 		return l
 	}
 	audit := func(l *Ledger) error {
@@ -262,7 +262,7 @@ func TestConservationAuditFires(t *testing.T) {
 // same identity; the shift is per-scheme (page, segment, line).
 func TestUnitShiftKeysIdentity(t *testing.T) {
 	l := New(11) // 2KB segments (PoM/MemPod)
-	id := l.SwapStarted(0x4800, 0x9000, true, TrigRegular, 10, 20, 2048, 2048)
+	id := l.SwapStarted(0x4800, 0x9000, TrigRegular, 10, 20, 2048, 2048)
 	l.RemapCommitted(id, 100)
 	l.Demand(0x4fff, 200) // last byte of the same 2KB segment
 	if s := l.Summary(); s.TotalUseful() != 1 {

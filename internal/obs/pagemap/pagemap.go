@@ -126,10 +126,9 @@ func (r *row) accesses() uint64 {
 
 // pendingSwap is an engine-accepted swap not yet committed or aborted.
 type pendingSwap struct {
-	unit        uint64
-	victim      uint64
-	victimValid bool
-	trig        ledger.Trigger
+	unit   uint64
+	victim uint64
+	trig   ledger.Trigger
 }
 
 // PageMap records per-page telemetry for one run. The zero value is
@@ -364,19 +363,16 @@ func (p *PageMap) Writeback(addr uint64, toDRAM bool, now uint64) {
 }
 
 // SwapStarted registers an engine-accepted swap bringing addr's unit toward
-// DRAM (displacing victim when victimValid), classified by trig. It returns
-// a handle for Committed/Abort/SwapTransferred (0 when disabled). Counters
-// move at commit time, so Abort is free.
-func (p *PageMap) SwapStarted(addr, victim uint64, victimValid bool, trig ledger.Trigger, now uint64) uint64 {
+// DRAM (displacing victim), classified by trig. It returns a handle for
+// Committed/Abort/SwapTransferred (0 when disabled). Counters move at
+// commit time, so Abort is free.
+func (p *PageMap) SwapStarted(addr, victim uint64, trig ledger.Trigger, now uint64) uint64 {
 	if p == nil {
 		return 0
 	}
 	p.nextID++
 	id := p.nextID
-	ps := &pendingSwap{unit: p.Unit(addr), trig: trig}
-	if victimValid {
-		ps.victim, ps.victimValid = p.Unit(victim), true
-	}
+	ps := &pendingSwap{unit: p.Unit(addr), victim: p.Unit(victim), trig: trig}
 	p.pending[id] = ps
 	_ = now
 	return id
@@ -391,9 +387,9 @@ func (p *PageMap) Abort(id uint64) {
 }
 
 // SwapTransferred charges nvmLineWrites NVM line-writes of transfer wear for
-// the pending swap id. The engine calls this as op stages write lines to the
-// NVM module; the wear lands on the victim's row (its data is what the swap
-// writes back to NVM), or on the incoming unit when there is no victim.
+// the pending swap id. The engine calls this once the op's transfers are
+// done; the wear lands on the victim's row (its data is what the swap
+// writes back to NVM).
 func (p *PageMap) SwapTransferred(id, nvmLineWrites uint64) {
 	if p == nil || id == 0 || nvmLineWrites == 0 {
 		return
@@ -402,11 +398,7 @@ func (p *PageMap) SwapTransferred(id, nvmLineWrites uint64) {
 	if !ok {
 		return
 	}
-	target := ps.unit
-	if ps.victimValid {
-		target = ps.victim
-	}
-	r := p.row(target)
+	r := p.row(ps.victim)
 	r.touched = true
 	r.wear += nvmLineWrites
 }
@@ -837,9 +829,7 @@ func (p *PageMap) AuditResidency(a *check.Audit, inDRAM func(addr uint64) bool) 
 	busy := make(map[uint64]bool, len(p.pending))
 	for _, ps := range p.pending {
 		busy[ps.unit] = true
-		if ps.victimValid {
-			busy[ps.victim] = true
-		}
+		busy[ps.victim] = true
 	}
 	for i := range p.rows {
 		r := &p.rows[i]

@@ -20,7 +20,7 @@ func TestZeroAllocDisabledPageMap(t *testing.T) {
 		p.Demand(page(1), true, obs.LatDRAM, 10)
 		p.Functional(page(1), false, true, 20)
 		p.Writeback(page(1), false, 30)
-		id := p.SwapStarted(page(2), page(3), true, ledger.TrigMMU, 40)
+		id := p.SwapStarted(page(2), page(3), ledger.TrigMMU, 40)
 		p.SwapTransferred(id, 64)
 		p.Committed(id, 50)
 		p.Evicted(page(3), 60)
@@ -40,7 +40,7 @@ func TestZeroAllocDisabledPageMap(t *testing.T) {
 
 // swapIn drives one complete swap lifecycle: unit in, victim out.
 func swapIn(p *PageMap, unit, victim uint64, trig ledger.Trigger, now uint64) {
-	id := p.SwapStarted(unit, victim, true, trig, now)
+	id := p.SwapStarted(unit, victim, trig, now)
 	p.SwapTransferred(id, 32)
 	p.Committed(id, now+10)
 	p.Evicted(victim, now+10)
@@ -80,7 +80,7 @@ func TestMisStampedHookFailsAudit(t *testing.T) {
 	swapIn(p, page(1), page(9), ledger.TrigRegular, 100)
 	// Mutation: page 1 is swapped in again without ever having been
 	// evicted — the double commit cannot flip residency.
-	id := p.SwapStarted(page(1), page(8), true, ledger.TrigRegular, 200)
+	id := p.SwapStarted(page(1), page(8), ledger.TrigRegular, 200)
 	p.Committed(id, 210)
 	p.Evicted(page(8), 210)
 	var a check.Audit
@@ -107,7 +107,7 @@ func TestResidencyGroundTruth(t *testing.T) {
 		t.Fatal("ground-truth audit passed against inverted translation")
 	}
 	// A unit entangled in a pending swap is exempt.
-	id := p.SwapStarted(page(1), page(3), true, ledger.TrigRegular, 200)
+	id := p.SwapStarted(page(1), page(3), ledger.TrigRegular, 200)
 	var c check.Audit
 	p.AuditResidency(&c, func(addr uint64) bool { return addr != page(1) && truth[addr] })
 	if err := c.Err(); err != nil {
@@ -172,7 +172,7 @@ func TestWearAccounting(t *testing.T) {
 	p.Writeback(page(1), false, 120)          // writeback to NVM: +1
 	p.Writeback(page(1), true, 130)           // writeback to DRAM: none
 	p.Functional(page(1), true, false, 140)   // functional NVM write: +1
-	id := p.SwapStarted(page(2), page(1), true, ledger.TrigRegular, 200)
+	id := p.SwapStarted(page(2), page(1), ledger.TrigRegular, 200)
 	p.SwapTransferred(id, 64) // victim written back to NVM: +64 on page 1
 	p.Committed(id, 210)
 	p.Evicted(page(1), 210)
@@ -194,7 +194,7 @@ func TestWearAccounting(t *testing.T) {
 
 func TestAbortLeavesNoTrace(t *testing.T) {
 	p := New(pageShift, 2, 1_000_000)
-	id := p.SwapStarted(page(1), page(2), true, ledger.TrigMMU, 100)
+	id := p.SwapStarted(page(1), page(2), ledger.TrigMMU, 100)
 	p.Abort(id)
 	p.Committed(id, 200) // stale: must be ignored
 	s := p.Summary()
@@ -266,7 +266,7 @@ func TestResetKeepsResidency(t *testing.T) {
 	p := New(pageShift, 2, 1_000_000)
 	swapIn(p, page(1), page(2), ledger.TrigMMU, 100)
 	// A swap straddling the reset: started before, commits after.
-	id := p.SwapStarted(page(3), page(1), true, ledger.TrigRegular, 150)
+	id := p.SwapStarted(page(3), page(1), ledger.TrigRegular, 150)
 	p.Reset()
 	if s := p.Summary(); s.UniquePages != 0 || s.SwapIns != 0 {
 		t.Fatalf("reset left stats behind: %+v", s)

@@ -2,44 +2,28 @@ package pom
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pageseer/internal/ckpt"
 )
-
-func sortedSegs[V any](m map[seg]V) []seg {
-	keys := make([]seg, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
 
 // Snapshot serializes PoM's warm state: the segment remap (both directions),
 // the access counters and their decay cursor, the SRC residency, and the
 // statistics. It refuses a non-quiesced manager (in-flight swaps).
 func (p *PoM) Snapshot(w *ckpt.Writer) error {
-	if len(p.inflight) != 0 {
-		return fmt.Errorf("pom: %d swap(s) in flight; snapshot requires quiescence", len(p.inflight))
+	if n := p.slots.InFlight(); n != 0 {
+		return fmt.Errorf("pom: %d swap(s) in flight; snapshot requires quiescence", n)
 	}
 	w.Section("pom")
 	if err := p.src.Snapshot(w); err != nil {
 		return err
 	}
-	loc := sortedSegs(p.location)
-	w.Int(len(loc))
-	for _, s := range loc {
-		w.U64(uint64(s))
-		w.U64(uint64(p.location[s]))
+	p.slots.Snapshot(w)
+	cnt := make([]seg, 0, len(p.counters))
+	for s := range p.counters {
+		cnt = append(cnt, s)
 	}
-	occ := sortedSegs(p.occupant)
-	w.Int(len(occ))
-	for _, s := range occ {
-		w.U64(uint64(s))
-		w.U64(uint64(p.occupant[s]))
-	}
-	cnt := sortedSegs(p.counters)
+	slices.Sort(cnt)
 	w.Int(len(cnt))
 	for _, s := range cnt {
 		w.U64(uint64(s))
@@ -57,16 +41,7 @@ func (p *PoM) Snapshot(w *ckpt.Writer) error {
 func (p *PoM) Restore(r *ckpt.Reader) {
 	r.Section("pom")
 	p.src.Restore(r)
-	p.location = make(map[seg]seg)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		s := seg(r.U64())
-		p.location[s] = seg(r.U64())
-	}
-	p.occupant = make(map[seg]seg)
-	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
-		s := seg(r.U64())
-		p.occupant[s] = seg(r.U64())
-	}
+	p.slots.Restore(r)
 	p.counters = make(map[seg]uint32)
 	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
 		s := seg(r.U64())

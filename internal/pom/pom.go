@@ -12,7 +12,6 @@ import (
 	"pageseer/internal/hmc"
 	"pageseer/internal/mem"
 	"pageseer/internal/mmu"
-	"pageseer/internal/obs/ledger"
 )
 
 // SegmentBytes is PoM's swap granularity.
@@ -98,25 +97,12 @@ type PoM struct {
 	srcRegion hmc.MetaRegion
 
 	fastSegs seg // number of DRAM segments == number of swap groups
-
-	// location[s] = slot currently holding segment s's data;
-	// occupant[slot] = segment whose data the slot holds.
-	// Identity when absent.
-	location map[seg]seg
-	occupant map[seg]seg
+	slots    *hmc.SlotRemap[seg]
 
 	counters  map[seg]uint32
 	lastDecay uint64
 
-	inflight map[seg]*job
-	stats    Stats
-}
-
-type job struct {
-	segs    []seg
-	waiters []func()
-	lid     uint64 // swap-provenance record ID (0 when the ledger is off)
-	pid     uint64 // pagemap pending-swap handle (0 when the pagemap is off)
+	stats Stats
 }
 
 // New installs a PoM manager on the controller.
@@ -126,12 +112,10 @@ func New(ctl *hmc.Controller, cfg Config) *PoM {
 		ctl:      ctl,
 		cfg:      cfg,
 		fastSegs: seg(ctl.Layout.DRAMBytes / SegmentBytes),
-		location: make(map[seg]seg),
-		occupant: make(map[seg]seg),
 		counters: make(map[seg]uint32),
-		inflight: make(map[seg]*job),
 	}
 	p.srcRegion = ctl.AllocMetaRegion(cfg.RemapTableBytes, 4)
+	p.slots = hmc.NewSlotRemap(ctl, SegmentBytes, p.srcRegion, p.committed)
 	p.src = hmc.NewMetaCache(ctl.Sim, hmc.MetaCacheConfig{
 		Name: "SRC", Entries: cfg.SRCEntries, Ways: cfg.SRCWays,
 		HitLatency: cfg.SRCLatency, EntriesPerLine: 16, // 4B group entries
@@ -149,8 +133,7 @@ func (p *PoM) Stats() Stats { return p.stats }
 // SRC exposes the segment remap cache (Figure 13 reads its wait time).
 func (p *PoM) SRC() *hmc.MetaCache { return p.src }
 
-func segOf(a mem.Addr) seg   { return seg(a >> segShift) }
-func (s seg) base() mem.Addr { return mem.Addr(s) << segShift }
+func segOf(a mem.Addr) seg { return seg(a >> segShift) }
 
 // group returns the swap group (== fast segment index) a segment belongs
 // to. Fast segments are their own group; slow segments direct-map onto one.
@@ -161,32 +144,12 @@ func (p *PoM) group(s seg) seg {
 	return (s - p.fastSegs) % p.fastSegs
 }
 
-func (p *PoM) locate(s seg) seg {
-	if l, ok := p.location[s]; ok {
-		return l
-	}
-	return s
-}
-
-func (p *PoM) occupantOf(slot seg) seg {
-	if o, ok := p.occupant[slot]; ok {
-		return o
-	}
-	return slot
-}
-
 // TranslateLine implements hmc.Manager.
-func (p *PoM) TranslateLine(addr mem.Addr) mem.Addr {
-	s := segOf(addr)
-	off := addr - s.base()
-	return p.locate(s).base() + off
-}
+func (p *PoM) TranslateLine(addr mem.Addr) mem.Addr { return p.slots.TranslateLine(addr) }
 
 // CheckIntegrity implements hmc.Manager.
 func (p *PoM) CheckIntegrity() error {
-	if err := p.ctl.Oracle.VerifyAll(func(d uint64) uint64 {
-		return uint64(p.locate(seg(d)))
-	}); err != nil {
+	if err := p.slots.Verify(); err != nil {
 		return fmt.Errorf("pom: %w", err)
 	}
 	return nil
@@ -229,7 +192,7 @@ func (p *PoM) maybeDecay() {
 // memory and triggers a fast swap at K.
 func (p *PoM) track(s seg) {
 	p.maybeDecay()
-	if p.locate(s) < p.fastSegs {
+	if p.slots.Locate(s) < p.fastSegs {
 		return // already in fast memory
 	}
 	if len(p.counters) >= p.cfg.CounterTableEntries {
@@ -257,103 +220,23 @@ func (p *PoM) evictColdestCounter() {
 }
 
 // trySwap performs PoM's fast swap: segment s (slow-resident) exchanges
-// with whatever currently sits in its group's fast slot.
+// with whatever currently sits in its group's fast slot. The displaced data
+// lands where s used to be — NOT at its own home (Section II-B).
 func (p *PoM) trySwap(s seg) {
-	fastSlot := p.group(s)
-	slowSlot := p.locate(s)
-	if slowSlot == fastSlot {
-		return
-	}
-	if p.inflight[fastSlot] != nil || p.inflight[slowSlot] != nil {
+	switch p.slots.TryExchange(s, p.group(s)) {
+	case hmc.ExchangeBlocked:
 		p.stats.SwapsBlocked++
-		return
-	}
-	displaced := p.occupantOf(fastSlot)
-	if p.frozen(s) || p.frozen(displaced) || p.pinnedSlot(fastSlot) {
-		p.stats.SwapsBlocked++
-		return
-	}
-	op := &hmc.Op{
-		Stages: []hmc.Stage{{
-			{Src: slowSlot.base(), Dst: fastSlot.base(), Bytes: SegmentBytes},
-			{Src: fastSlot.base(), Dst: slowSlot.base(), Bytes: SegmentBytes},
-		}},
-	}
-	j := &job{segs: []seg{fastSlot, slowSlot}}
-	op.OnComplete = func() {
-		// Fast swap: s's data lands in the fast slot; the displaced data
-		// lands where s used to be — NOT at its own home (Section II-B).
-		p.setOccupant(fastSlot, s)
-		p.setOccupant(slowSlot, displaced)
-		p.ctl.Oracle.Exchange(uint64(fastSlot), uint64(slowSlot))
-		p.ctl.IssueLine(p.srcRegion.EntryAddr(uint64(fastSlot)), true, hmc.PrioSwap, nil)
-		p.src.Prefetch(uint64(fastSlot))
-		delete(p.counters, s)
-		if led := p.ctl.Ledger(); led != nil {
-			now := p.sim.Now()
-			led.RemapCommitted(j.lid, now)
-			led.Evicted(uint64(displaced.base()), now)
-		}
-		if pm := p.ctl.PageMap(); pm != nil {
-			now := p.sim.Now()
-			pm.Committed(j.pid, now)
-			pm.Evicted(uint64(displaced.base()), now)
-		}
-		p.stats.Swaps++
-		for _, sg := range j.segs {
-			delete(p.inflight, sg)
-		}
-		for _, w := range j.waiters {
-			w()
-		}
-	}
-	led := p.ctl.Ledger()
-	if led != nil {
-		now := p.sim.Now()
-		dramB, nvmB := p.ctl.OpBytes(op)
-		j.lid = led.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, now, now, dramB, nvmB)
-		op.LedgerID = j.lid
-	}
-	if pm := p.ctl.PageMap(); pm != nil {
-		j.pid = pm.SwapStarted(uint64(s.base()), uint64(displaced.base()), true,
-			ledger.TrigRegular, p.sim.Now())
-		op.PageMapID = j.pid
-	}
-	if !p.ctl.Engine.Start(op) {
-		led.Abort(j.lid)
-		p.ctl.PageMap().Abort(j.pid)
+	case hmc.ExchangeRefused:
 		p.stats.SwapsDeclined++
-		return
-	}
-	p.inflight[fastSlot] = j
-	p.inflight[slowSlot] = j
-}
-
-func (p *PoM) setOccupant(slot, data seg) {
-	p.occupant[slot] = data
-	p.location[data] = slot
-	if p.occupant[slot] == slot {
-		delete(p.occupant, slot)
-	}
-	if p.location[data] == data {
-		delete(p.location, data)
 	}
 }
 
-// frozen reports whether any page overlapping segment s is DMA-frozen.
-func (p *PoM) frozen(s seg) bool {
-	return p.ctl.FrozenByDMA(mem.PageOf(s.base()))
-}
-
-// pinnedSlot protects the controller's remap-table region and page tables
-// from being relocated by a swap.
-func (p *PoM) pinnedSlot(slot seg) bool {
-	a := slot.base()
-	if a >= p.srcRegion.Base && uint64(a-p.srcRegion.Base) < p.srcRegion.Bytes {
-		return true
-	}
-	return p.ctl.OS.IsPageTable(mem.PageOf(a))
+// committed is PoM's post-commit step: refresh the SRC with the group's new
+// entry and restart s's counting.
+func (p *PoM) committed(s, fastSlot seg) {
+	p.src.Prefetch(uint64(fastSlot))
+	delete(p.counters, s)
+	p.stats.Swaps++
 }
 
 // MMUHint implements hmc.Manager: PoM has no MMU connection.
@@ -361,44 +244,10 @@ func (p *PoM) MMUHint(mmu.Hint) {}
 
 // FreezePage implements hmc.Manager: wait out in-flight swaps of the page's
 // segments.
-func (p *PoM) FreezePage(page mem.PPN, done func()) {
-	segs := pageSegs(page)
-	waitFor := map[*job]struct{}{}
-	for _, s := range segs {
-		if j, ok := p.inflight[p.locate(s)]; ok {
-			waitFor[j] = struct{}{}
-		}
-		if j, ok := p.inflight[s]; ok {
-			waitFor[j] = struct{}{}
-		}
-	}
-	if len(waitFor) == 0 {
-		done()
-		return
-	}
-	remaining := len(waitFor)
-	for j := range waitFor {
-		j.waiters = append(j.waiters, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
-	}
-}
+func (p *PoM) FreezePage(page mem.PPN, done func()) { p.slots.FreezePage(page, done) }
 
 // UnfreezePage implements hmc.Manager.
 func (p *PoM) UnfreezePage(mem.PPN) {}
-
-func pageSegs(page mem.PPN) []seg {
-	base := segOf(page.Addr())
-	n := mem.PageSize / SegmentBytes
-	out := make([]seg, n)
-	for i := range out {
-		out[i] = base + seg(i)
-	}
-	return out
-}
 
 // ResetStats zeroes the PoM counters (e.g. after warm-up), keeping all
 // trained and remap state.

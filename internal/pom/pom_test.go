@@ -12,6 +12,8 @@ import (
 	"pageseer/internal/memsim"
 )
 
+func (s seg) base() mem.Addr { return mem.Addr(s) << segShift }
+
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.SRCEntries = 128
@@ -86,18 +88,18 @@ func TestFastSwapDisplacesToSlowHome(t *testing.T) {
 		miss(sim, ctl, s1.base())
 	}
 	sim.Drain(0)
-	if p.locate(s1) != g {
-		t.Fatalf("s1 not in fast slot: %d", p.locate(s1))
+	if p.slots.Locate(s1) != g {
+		t.Fatalf("s1 not in fast slot: %d", p.slots.Locate(s1))
 	}
 	for i := 0; i < int(p.cfg.K); i++ {
 		miss(sim, ctl, s2.base())
 	}
 	sim.Drain(0)
-	if p.locate(s2) != g {
-		t.Fatalf("s2 not in fast slot: %d", p.locate(s2))
+	if p.slots.Locate(s2) != g {
+		t.Fatalf("s2 not in fast slot: %d", p.slots.Locate(s2))
 	}
-	if p.locate(s1) != s2 {
-		t.Fatalf("fast swap should strand s1 at s2's home; s1 is at %d", p.locate(s1))
+	if p.slots.Locate(s1) != s2 {
+		t.Fatalf("fast swap should strand s1 at s2's home; s1 is at %d", p.slots.Locate(s1))
 	}
 	if err := ctl.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
@@ -138,7 +140,7 @@ func TestPinnedFastSlotBlocksSwap(t *testing.T) {
 		miss(sim, ctl, s.base())
 	}
 	sim.Drain(0)
-	if p.locate(s) == 0 {
+	if p.slots.Locate(s) == 0 {
 		t.Fatal("segment swapped into a pinned metadata slot")
 	}
 	if p.Stats().SwapsBlocked == 0 {
@@ -232,7 +234,7 @@ func TestFreezePageWaitsForInflightSwap(t *testing.T) {
 		ctl.Access(a, false, cache.Meta{PID: 1}, nil)
 	}
 	sim.RunUntil(sim.Now() + 30)
-	if len(p.inflight) == 0 {
+	if p.slots.InFlight() == 0 {
 		t.Skip("swap completed before it could be observed in flight")
 	}
 	frozen := false

@@ -24,26 +24,70 @@ func snapshotDigestConfig() Config {
 	return cfg
 }
 
-// TestSnapshotDigest pins the checkpoint bytes across commits: the sha256
-// of System.Snapshot at the run's quiesce point 2 must match the committed
-// digest. Rewrite it with -update-golden when a change is meant to move the
-// machine's state or the checkpoint format, and say why in CHANGES.md.
-func TestSnapshotDigest(t *testing.T) {
-	sys, err := Build(snapshotDigestConfig())
+// baselineSnapshotConfig is a detailed four-core run of one baseline
+// scheme; its warm-up leaves the slot-remap tables populated, so the
+// checkpoint bytes at the warm-up/measurement boundary cover the location
+// and occupant encoders.
+func baselineSnapshotConfig(scheme Scheme, wl string, instr, warmup uint64) Config {
+	cfg := DefaultConfig()
+	cfg.Scheme = scheme
+	cfg.Workload = wl
+	cfg.MaxCores = 4
+	cfg.InstrPerCore = instr
+	cfg.Warmup = warmup
+	return cfg
+}
+
+// snapshotRun is one quiesced snapshot whose bytes are pinned: line i of
+// snapshotDigestPath holds run i's digest. The first line predates the
+// baseline runs and carries no name; later lines name their run after the
+// digest.
+type snapshotRun struct {
+	name  string
+	cfg   func() Config
+	point int // quiesce point to snapshot at
+}
+
+var snapshotRuns = []snapshotRun{
+	{"mcf/pageseer/sampled", snapshotDigestConfig, 2},
+	{"GemsFDTD/pom", func() Config { return baselineSnapshotConfig(SchemePoM, "GemsFDTD", 120_000, 60_000) }, 0},
+	{"radix/mempod", func() Config { return baselineSnapshotConfig(SchemeMemPod, "radix", 200_000, 100_000) }, 0},
+	{"radix/cameo", func() Config { return baselineSnapshotConfig(SchemeCAMEO, "radix", 200_000, 100_000) }, 0},
+}
+
+func snapshotDigest(t *testing.T, r snapshotRun) (string, int) {
+	t.Helper()
+	sys, err := Build(r.cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunToQuiesce(func(p int) bool { return p == 2 }); err != ErrPaused {
-		t.Fatalf("RunToQuiesce(stop@2) = %v, want ErrPaused", err)
+	if _, err := sys.RunToQuiesce(func(p int) bool { return p == r.point }); err != ErrPaused {
+		t.Fatalf("RunToQuiesce(stop@%d) = %v, want ErrPaused", r.point, err)
 	}
 	data, err := sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(data)
-	got := hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), len(data)
+}
+
+// TestSnapshotDigest pins the checkpoint bytes across commits: the sha256
+// of System.Snapshot at each run's quiesce point must match the committed
+// digest. Rewrite it with -update-golden when a change is meant to move the
+// machine's state or the checkpoint format, and say why in CHANGES.md.
+func TestSnapshotDigest(t *testing.T) {
 	if *updateGolden {
-		if err := os.WriteFile(snapshotDigestPath, []byte(got+"\n"), 0o644); err != nil {
+		var b strings.Builder
+		for i, r := range snapshotRuns {
+			got, _ := snapshotDigest(t, r)
+			b.WriteString(got)
+			if i > 0 {
+				b.WriteString("  " + r.name)
+			}
+			b.WriteByte('\n')
+		}
+		if err := os.WriteFile(snapshotDigestPath, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -52,7 +96,16 @@ func TestSnapshotDigest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update-golden to record it)", err)
 	}
-	if w := strings.TrimSpace(string(want)); got != w {
-		t.Fatalf("snapshot sha256 at quiesce point 2 = %s, committed %s (%d bytes)", got, w, len(data))
+	lines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	if len(lines) != len(snapshotRuns) {
+		t.Fatalf("%s holds %d digests, want %d", snapshotDigestPath, len(lines), len(snapshotRuns))
+	}
+	for i, r := range snapshotRuns {
+		t.Run(r.name, func(t *testing.T) {
+			w := strings.Fields(lines[i])[0]
+			if got, n := snapshotDigest(t, r); got != w {
+				t.Fatalf("snapshot sha256 at quiesce point %d = %s, committed %s (%d bytes)", r.point, got, w, n)
+			}
+		})
 	}
 }
